@@ -74,10 +74,12 @@ def _write_manifest(path: Path, subcommand: str, config: dict, artifacts: dict) 
     )
 
 
-def _write_csv_rows(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, rows, header: list[str] | None = None) -> None:
+    """Rows of Python values as CSV: floats as .17g, everything else via str."""
     def writer(p: Path):
         with p.open("w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
+            if header is not None:
+                fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -88,24 +90,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
-
-
-def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    def writer(p: Path):
-        with p.open("w", encoding="utf-8") as fh:
-            for row in np.asarray(matrix):
-                fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
-
-    _atomic_write(path, writer)
-
-
-def _write_int_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    def writer(p: Path):
-        with p.open("w", encoding="utf-8") as fh:
-            for row in np.asarray(matrix):
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-    _atomic_write(path, writer)
 
 
 def _generate_series(args) -> TimeSeries:
@@ -265,22 +249,22 @@ def cmd_verify(args) -> int:
         pmf_rows.append((k, pooled[k] if k in pooled else 0, p_num, p_the, err))
         if expected >= 50 and err >= e_threshold:
             failures.append(f"pmf E(k={k}) = {err:.3f} >= {e_threshold:.3f}")
-    _write_csv_rows(
+    _write_csv(
         outdir / "pmf_vs_theory.csv",
-        ["k", "count", "pmf", "theory_pmf", "relative_error"],
         pmf_rows,
+        ["k", "count", "pmf", "theory_pmf", "relative_error"],
     )
 
     fsr = metrics.finite_size_report(pooled_dist, rho)
-    _write_csv_rows(
+    _write_csv(
         outdir / "finite_size.csv",
-        ["k", "relative_error"],
         list(fsr.per_k),
+        ["k", "relative_error"],
     )
-    _write_csv_rows(
+    _write_csv(
         outdir / "finite_size_summary.csv",
-        ["me", "me_sum", "k0", "e_threshold"],
         [(fsr.me, fsr.me_sum, fsr.k0, fsr.e_threshold)],
+        ["me", "me_sum", "k0", "e_threshold"],
     )
 
     md = float(np.mean(mean_degrees))
@@ -293,10 +277,10 @@ def cmd_verify(args) -> int:
     cov_ok = band is None or band[0] <= cov <= band[1]
     if not cov_ok:
         failures.append(f"coverage {cov:.4f} outside iid band {band}")
-    _write_csv_rows(
+    _write_csv(
         outdir / "coverage.csv",
-        ["seed", "coverage"],
         list(enumerate(coverages)),
+        ["seed", "coverage"],
     )
 
     freq = np.vstack(freq_rows)
@@ -325,15 +309,14 @@ def cmd_verify(args) -> int:
                 f"link frequency at sep={sep}: {emp:.5f} vs {th:.5f} "
                 f"(bound {se_factor:.1f}*se = {se_factor * se:.5f})"
             )
-    _write_csv_rows(
+    _write_csv(
         outdir / "long_distance.csv",
-        ["sep", "empirical", "stderr", "probability", "probability_classic"],
         rows,
+        ["sep", "empirical", "stderr", "probability", "probability_classic"],
     )
 
-    _write_csv_rows(
+    _write_csv(
         outdir / "theory_table.csv",
-        ["k", "pmf", "c_min", "c_max", "c_max_extrapolated"],
         [
             (r["k"], r["pmf"], r["c_min"], r["c_max"], int(r["c_max_extrapolated"]))
             for r in theory.degree_table(
@@ -342,6 +325,7 @@ def cmd_verify(args) -> int:
                 unvalidated=rho > theory.CLUSTERING_RHO_MAX,
             )
         ],
+        ["k", "pmf", "c_min", "c_max", "c_max_extrapolated"],
     )
 
     _write_manifest(
@@ -374,16 +358,16 @@ def cmd_evolve(args) -> int:
     result = evolve(series, args.rho, cfg, RngConfig(args.seed), ensemble=args.ensemble)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(outdir / "distances.csv", result.distances)
-    _write_matrix_csv(outdir / "gamma.csv", result.gamma)
-    _write_int_matrix_csv(outdir / "recurrence.csv", result.recurrence)
-    _write_csv_rows(
+    _write_csv(outdir / "distances.csv", result.distances.tolist())
+    _write_csv(outdir / "gamma.csv", result.gamma.tolist())
+    _write_csv(outdir / "recurrence.csv", result.recurrence.tolist())
+    _write_csv(
         outdir / "window_metrics.csv",
-        ["window", "start", "stop", "mean_degree", "mean_clustering", "mean_path_length"],
         [
             (i, wm.start, wm.stop, wm.mean_degree, wm.mean_clustering, wm.mean_path_length)
             for i, wm in enumerate(result.per_window)
         ],
+        ["window", "start", "stop", "mean_degree", "mean_clustering", "mean_path_length"],
     )
     _atomic_write(
         outdir / "theta.txt", lambda p: p.write_text(format(result.theta, ".17g") + "\n")
@@ -411,28 +395,28 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+# the artifact each replayable subcommand writes with --out (None: --outdir)
+_REPLAY_OUT = {"generate": "series", "build": "graph", "discriminate": "verdict",
+               "verify": None, "evolve": None}
+
+
 def cmd_replay(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
-    sub = manifest["subcommand"]
-    config = manifest["config"]
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("artifacts"), dict)):
+        raise CliError("malformed manifest: need an object with subcommand, config and artifacts")
+    sub, artifacts = manifest.get("subcommand"), manifest["artifacts"]
+    if not isinstance(sub, str) or sub not in _REPLAY_OUT:
+        raise CliError(f"cannot replay subcommand {sub!r}")
+    key = _REPLAY_OUT[sub]
+    if key is not None and key not in artifacts:
+        raise CliError(f"malformed manifest: no {key!r} artifact for {sub}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    argv = [sub]
-    if sub == "generate":
-        argv += _config_to_flags(config)
-        argv += ["--out", str(outdir / Path(manifest["artifacts"]["series"]).name)]
-    elif sub == "build":
-        argv += _config_to_flags(config)
-        argv += ["--out", str(outdir / Path(manifest["artifacts"]["graph"]).name)]
-    elif sub == "discriminate":
-        argv += _config_to_flags(config)
-        argv += ["--out", str(outdir / Path(manifest["artifacts"]["verdict"]).name)]
-    elif sub in ("verify", "evolve"):
-        argv += _config_to_flags(config)
-        argv += ["--outdir", str(outdir)]
-    else:
-        raise CliError(f"cannot replay subcommand {sub!r}")
-    return main(argv)
+    argv = [sub] + _config_to_flags(manifest["config"])
+    if key is None:
+        return main(argv + ["--outdir", str(outdir)])
+    return main(argv + ["--out", str(outdir / Path(artifacts[key]).name)])
 
 
 def _config_to_flags(config: dict) -> list[str]:

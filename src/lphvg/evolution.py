@@ -3,8 +3,6 @@ distances, a random-reference threshold, correlation index, and recurrence."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,25 +13,6 @@ from .series import RngConfig, as_values, validate_rho
 
 DEFAULT_ENSEMBLE = 10
 _THRESHOLD_STREAM_TAG = 0x7468  # namespaces the reference-series substreams
-
-
-def thread_count() -> int:
-    """Worker cap from LPHVG_THREADS; defaults to 1 (results never depend on it)."""
-    raw = os.environ.get("LPHVG_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def _map_ordered(fn, items):
-    workers = thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -71,16 +50,14 @@ def graph_distance(g1: VisibilityGraph, g2: VisibilityGraph) -> float:
 def distance_matrix(graphs: list[VisibilityGraph]) -> np.ndarray:
     count = len(graphs)
     dist = np.zeros((count, count))
-    pairs = [(m, n) for m in range(count) for n in range(m + 1, count)]
-    values = _map_ordered(lambda p: graph_distance(graphs[p[0]], graphs[p[1]]), pairs)
-    for (m, n), d in zip(pairs, values):
-        dist[m, n] = dist[n, m] = d
+    for m in range(count):
+        for n in range(m + 1, count):
+            dist[m, n] = dist[n, m] = graph_distance(graphs[m], graphs[n])
     return dist
 
 
 def _window_graphs(values: np.ndarray, rho: int, cfg: WindowConfig) -> list[VisibilityGraph]:
-    windows = make_windows(values.size, cfg)
-    return _map_ordered(lambda w: build_lphvg(values[w[0] : w[1]], rho), windows)
+    return [build_lphvg(values[a:b], rho) for a, b in make_windows(values.size, cfg)]
 
 
 def threshold_from_random(

@@ -1,12 +1,14 @@
-"""LPHVG construction: optimized scan builder plus an exhaustive pairwise oracle.
+"""LPHVG construction: a bounded-cost builder plus an exhaustive pairwise oracle.
 
 Two series points i < j are linked when at most rho of the intermediate
 values x_q (i < q < j) satisfy x_q >= min(x_i, x_j); values exactly equal
-to the smaller endpoint count as blocking.
+to the smaller endpoint count as blocking. The builder links each point to
+the first rho+1 values at least as high on either side of it (the
+lower-endpoint rule), in O((rho+1) n log n) time for any input shape.
+Graphs are stored as read-only CSR arrays.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -16,50 +18,64 @@ import numpy as np
 from .series import as_values, validate_rho
 
 ADJACENCY_EXPORT_MAX_NODES = 2000
+_EDGE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class VisibilityGraph:
-    """Immutable undirected simple graph over series indices 0..n-1."""
+    """Immutable undirected simple graph over series indices 0..n-1.
+
+    Stored as read-only CSR arrays: the neighbors of node i are
+    indices[indptr[i]:indptr[i+1]] (int64 indptr, int32 indices), ascending.
+    """
 
     n: int
     rho: int
-    neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
 
     @cached_property
-    def neighbor_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(nb) for nb in self.neighbors)
+    def neighbors(self) -> tuple[np.ndarray, ...]:
+        """neighbors[i]: the sorted neighbors of node i, as read-only views."""
+        return tuple(np.split(self.indices, self.indptr[1:-1]))
+
+    def _upper(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Edges (i, j), i < j, of rows a..b-1 in lexicographic order."""
+        j = self.indices[self.indptr[a] : self.indptr[b]]
+        i = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(self.indptr[a : b + 1]))
+        upper = j > i
+        return i[upper], j[upper]
 
     @cached_property
     def edge_codes(self) -> np.ndarray:
         """Sorted int64 codes i*n+j (i<j) of all edges; used for fast set algebra."""
-        codes = [
-            i * self.n + j
-            for i, nb in enumerate(self.neighbors)
-            for j in nb
-            if j > i
-        ]
-        return np.array(sorted(codes), dtype=np.int64)
+        i, j = self._upper(0, self.n)
+        return i.astype(np.int64) * self.n + j
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return int(self.indptr[-1]) // 2
 
     def edges(self):
         """Yield edges (i, j) with i < j in lexicographic order."""
-        for i, nb in enumerate(self.neighbors):
-            for j in nb:
-                if j > i:
-                    yield (i, j)
+        for a in range(0, self.n, _EDGE_CHUNK_ROWS):
+            i, j = self._upper(a, min(a + _EDGE_CHUNK_ROWS, self.n))
+            yield from zip(i.tolist(), j.tolist())
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbor_sets[i]
+        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
+        k = np.searchsorted(row, j)
+        return bool(k < row.size and row[k] == j)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VisibilityGraph):
@@ -67,8 +83,20 @@ class VisibilityGraph:
         return (
             self.n == other.n
             and self.rho == other.rho
-            and self.neighbors == other.neighbors
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
+
+
+def _from_edges(n: int, rho: int, lo: np.ndarray, hi: np.ndarray) -> VisibilityGraph:
+    """CSR graph from distinct undirected edges (lo[e], hi[e])."""
+    keys = np.concatenate([lo, hi]).astype(np.int64)
+    keys *= n
+    keys += np.concatenate([hi, lo])
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return VisibilityGraph(n=n, rho=rho, indptr=indptr, indices=keys.astype(np.int32))
 
 
 def penetrable_visible(series, i: int, j: int, rho: int) -> bool:
@@ -82,48 +110,60 @@ def penetrable_visible(series, i: int, j: int, rho: int) -> bool:
     return blockers <= rho
 
 
+def _partners(ranks: np.ndarray, count: int) -> np.ndarray:
+    """partners[r, p]: the (r+1)-th index q > p with ranks[q] >= ranks[p], or n if none.
+
+    Each round r answers "first index >= v at or after s" for every node at
+    once by descending a sparse range-maximum table, table[k][i] = the
+    maximum of ranks[i : i + 2**k]: O(n log n) per round.
+    """
+    n = ranks.size
+    level = np.append(ranks, np.iinfo(np.int32).max)  # a sentinel at n ends every descent
+    table = [level]
+    for k in range(1, n.bit_length()):
+        h = 1 << (k - 1)
+        level = level.copy()
+        np.maximum(level[:-h], level[h:], out=level[:-h])
+        table.append(level)
+    partners = np.full((count, n), n, dtype=np.int32)
+    p = np.arange(n)
+    pos = p + 1
+    for r in range(count):
+        v = ranks[p]
+        for k in range(len(table) - 1, -1, -1):  # skip each block that holds no value >= v
+            np.add(pos, 1 << k, out=pos, where=table[k][pos] < v)
+        hit = pos < n
+        p, pos = p[hit], pos[hit]
+        partners[r, p] = pos
+        pos += 1
+    return partners
+
+
 def build_lphvg(series, rho: int) -> VisibilityGraph:
     """Build the LPHVG of a series with penetrability rho.
 
-    Rightward scan per node i holding the rho+1 largest intermediates seen so
-    far in a min-heap. A later j links to i iff fewer than rho+1 intermediates
-    exist or the (rho+1)-th largest of them lies strictly below both
-    endpoints. Once rho+1 intermediates >= x_i have accumulated, no later j
-    can link (they face >= rho+1 blockers) and the scan stops; expected scan
-    length is O(rho * log n) per node for i.i.d. input, worst case O(n).
+    Lower-endpoint rule: take p, the endpoint with the smaller value. The
+    blockers of a link are the values >= x_p strictly between its ends, so
+    p's right partners are the first rho+1 later indices with a value >= x_p
+    and its left partners the first rho+1 earlier such indices, kept only
+    when strictly higher so that a tied pair is emitted once. A graph thus
+    has at most 2(rho+1)n edges. The search runs on int32 value ranks (ties
+    share a rank) and costs O((rho+1) n log n) for any input shape.
     """
     x = as_values(series)
     rho = validate_rho(rho)
     n = x.size
     if n < 2:
         raise ValueError(f"series must have at least 2 points, got {n}")
-    vals = x.tolist()
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    cap = rho + 1
-    push, replace = heapq.heappush, heapq.heapreplace
-    for i in range(n - 1):
-        xi = vals[i]
-        nbrs_i = nbrs[i]
-        top: list[float] = []  # min-heap of the cap largest intermediates
-        for j in range(i + 1, n):
-            xj = vals[j]
-            if len(top) < cap:
-                # fewer than rho+1 intermediates: always linked
-                nbrs_i.append(j)
-                nbrs[j].append(i)
-                push(top, xj)
-                if len(top) == cap and top[0] >= xi:
-                    break
-            else:
-                t = top[0]
-                if t < xi and t < xj:
-                    nbrs_i.append(j)
-                    nbrs[j].append(i)
-                if xj > t:
-                    replace(top, xj)
-                    if top[0] >= xi:
-                        break
-    return VisibilityGraph(n=n, rho=rho, neighbors=tuple(tuple(nb) for nb in nbrs))
+    ranks = np.unique(x, return_inverse=True)[1].astype(np.int32)
+    right = _partners(ranks, rho + 1)
+    left = n - 1 - _partners(ranks[::-1], rho + 1)[:, ::-1]  # -1 if none
+    nodes = np.broadcast_to(np.arange(n, dtype=np.int32), right.shape)
+    up = right < n
+    down = (left >= 0) & (ranks[left] > ranks)
+    return _from_edges(
+        n, rho, np.concatenate([nodes[up], left[down]]), np.concatenate([right[up], nodes[down]])
+    )
 
 
 def build_lphvg_naive(series, rho: int) -> VisibilityGraph:
@@ -142,14 +182,7 @@ def build_lphvg_naive(series, rho: int) -> VisibilityGraph:
     blockers = np.zeros((n, n), dtype=np.int64)
     for q in range(1, n - 1):
         blockers[:q, q + 1 :] += x[q] >= mins[:q, q + 1 :]
-    linked = np.triu(blockers <= rho, k=1)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(*np.nonzero(linked)):
-        nbrs[int(i)].append(int(j))
-        nbrs[int(j)].append(int(i))
-    return VisibilityGraph(
-        n=n, rho=rho, neighbors=tuple(tuple(sorted(nb)) for nb in nbrs)
-    )
+    return _from_edges(n, rho, *np.nonzero(np.triu(blockers <= rho, k=1)))
 
 
 def write_edge_list(graph: VisibilityGraph, path) -> None:
@@ -167,8 +200,7 @@ def write_adjacency_csv(graph: VisibilityGraph, path) -> None:
             f"(got n={graph.n}); use the edge-list format"
         )
     adj = np.zeros((graph.n, graph.n), dtype=np.int8)
-    for i, nb in enumerate(graph.neighbors):
-        adj[i, list(nb)] = 1
+    adj[np.repeat(np.arange(graph.n), graph.degrees()), graph.indices] = 1
     with Path(path).open("w", encoding="utf-8") as fh:
         for row in adj:
             fh.write(",".join(map(str, row)))

@@ -59,7 +59,7 @@ class DegreeDistribution:
 
     @classmethod
     def from_graph(cls, graph: VisibilityGraph) -> "DegreeDistribution":
-        return cls(dict(Counter(len(nb) for nb in graph.neighbors)), graph.n)
+        return cls(dict(Counter(graph.degrees().tolist())), graph.n)
 
     def pmf(self, k: int) -> float:
         return self.counts.get(k, 0) / self.n
@@ -80,12 +80,28 @@ def local_clustering(graph: VisibilityGraph, node: int) -> float:
     """Triangles through `node` over C(k, 2); zero for degree < 2."""
     if not 0 <= node < graph.n:
         raise IndexError(f"node {node} out of range for n={graph.n}")
-    nb = graph.neighbor_sets[node]
-    k = len(nb)
+    ptr, idx = graph.indptr, graph.indices
+    nb = idx[ptr[node] : ptr[node + 1]]
+    k = nb.size
     if k < 2:
         return 0.0
-    links = sum(len(graph.neighbor_sets[u] & nb) for u in nb)  # 2 * triangles
-    return links / (k * (k - 1))
+    rows = np.concatenate([idx[ptr[u] : ptr[u + 1]] for u in nb])
+    return int(np.isin(rows, nb).sum()) / (k * (k - 1))  # 2 * triangles / (k(k-1))
+
+
+def _adjacency(graph: VisibilityGraph) -> sparse.csr_array:
+    """The graph's own CSR arrays as a scipy matrix with unit weights."""
+    data = np.ones(graph.indices.size, dtype=np.int64)
+    return sparse.csr_array((data, graph.indices, graph.indptr), shape=(graph.n, graph.n))
+
+
+def _clustering(graph: VisibilityGraph) -> list[float]:
+    """Local clustering of every node, from one sparse product (A·A)∘A."""
+    adj = _adjacency(graph)
+    links = (adj @ adj).multiply(adj).sum(axis=1)  # 2 * triangles per node
+    k = graph.degrees()
+    pairs = k * (k - 1)
+    return np.divide(links, pairs, out=np.zeros(graph.n), where=pairs > 0).tolist()
 
 
 def mean_degree_empirical(graph: VisibilityGraph) -> float:
@@ -93,18 +109,7 @@ def mean_degree_empirical(graph: VisibilityGraph) -> float:
 
 
 def mean_clustering(graph: VisibilityGraph) -> float:
-    return sum(local_clustering(graph, i) for i in range(graph.n)) / graph.n
-
-
-def _csr_adjacency(graph: VisibilityGraph) -> sparse.csr_matrix:
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    for i, nb in enumerate(graph.neighbors):
-        indptr[i + 1] = indptr[i] + len(nb)
-    indices = np.fromiter(
-        (j for nb in graph.neighbors for j in nb), dtype=np.int64, count=indptr[-1]
-    )
-    data = np.ones(indptr[-1], dtype=np.int8)
-    return sparse.csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
+    return sum(_clustering(graph)) / graph.n
 
 
 def mean_path_length(
@@ -119,7 +124,7 @@ def mean_path_length(
     """
     if sample_pairs is not None and sample_pairs <= 0:
         raise ValueError(f"sample_pairs must be positive, got {sample_pairs}")
-    adj = _csr_adjacency(graph)
+    adj = _adjacency(graph)
     n = graph.n
     if n <= EXACT_PATH_LENGTH_MAX_NODES and sample_pairs is None:
         dist = shortest_path(adj, method="D", unweighted=True, directed=False)
@@ -290,9 +295,10 @@ def clustering_coverage(graph: VisibilityGraph, tol: float = 1e-12) -> CoverageR
     rho = graph.rho
     unvalidated = rho > theory.CLUSTERING_RHO_MAX
     below = above = inside = total = 0
+    degrees = graph.degrees().tolist()
+    clustering = _clustering(graph)
     for i in interior_nodes(graph):
-        k = graph.degree(i)
-        c = local_clustering(graph, i)
+        k, c = degrees[i], clustering[i]
         lo = theory.clustering_min(rho, k, unvalidated=unvalidated)
         hi = theory.clustering_max(rho, k, unvalidated=unvalidated)
         total += 1
@@ -316,11 +322,8 @@ def link_frequency_by_separation(graph: VisibilityGraph, max_sep: int) -> np.nda
     """freq[d-1] = (# edges with j - i = d) / (n - d) for d = 1..max_sep."""
     if max_sep < 1:
         raise ValueError("max_sep must be >= 1")
-    counts = np.zeros(max_sep, dtype=np.int64)
-    for i, j in graph.edges():
-        d = j - i
-        if d <= max_sep:
-            counts[d - 1] += 1
+    i, j = np.divmod(graph.edge_codes, graph.n)
+    counts = np.bincount(j - i, minlength=max_sep + 1)[1 : max_sep + 1]
     denom = np.array([graph.n - d for d in range(1, max_sep + 1)], dtype=np.float64)
     return counts / denom
 

@@ -164,6 +164,29 @@ class TestEvolveAndReplay:
         assert rc == 0
         assert (outdir2 / "g.csv").read_bytes() == out.read_bytes()
 
+    def test_manifest_without_artifacts_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "generate", "config": {}}))
+        rc = run(["replay", "--manifest", str(manifest), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        assert "malformed manifest" in capsys.readouterr().err
+
+    def test_manifest_list_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(["generate", {}]))
+        rc = run(["replay", "--manifest", str(manifest), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        assert "malformed manifest" in capsys.readouterr().err
+
+    def test_manifest_missing_artifact_key_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            {"subcommand": "build", "config": {}, "artifacts": {"series": "x"}}
+        ))
+        rc = run(["replay", "--manifest", str(manifest), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        assert "'graph' artifact" in capsys.readouterr().err
+
     def test_window_validation_error(self, tmp_path):
         series = tmp_path / "s.csv"
         run(["generate", "--family", "uniform", "--n", "100", "--seed", "1",

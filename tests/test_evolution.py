@@ -197,13 +197,3 @@ class TestEvolve:
             # the reference-minimum threshold keeps recurrences rare everywhere
             offdiag = res.recurrence.sum() - res.window_count
             assert offdiag <= 0.05 * res.window_count * (res.window_count - 1)
-
-    def test_thread_env_does_not_change_result(self, monkeypatch):
-        ts = gen_iid(IidSpec("uniform", 300, RngConfig(14)))
-        monkeypatch.delenv("LPHVG_THREADS", raising=False)
-        serial = evolve(ts, 1, WindowConfig(80, 40), RngConfig(4), ensemble=2)
-        monkeypatch.setenv("LPHVG_THREADS", "4")
-        threaded = evolve(ts, 1, WindowConfig(80, 40), RngConfig(4), ensemble=2)
-        assert np.array_equal(serial.distances, threaded.distances)
-        assert serial.theta == threaded.theta
-        assert serial.per_window == threaded.per_window

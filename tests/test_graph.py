@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +21,26 @@ series_values = st.lists(
     max_size=60,
 )
 rhos = st.integers(min_value=0, max_value=4)
+
+# shapes that are worst cases for a left-to-right scan or full of ties
+monotone_values = st.builds(
+    lambda xs, up: sorted(xs, reverse=not up),
+    st.lists(st.integers(min_value=-5, max_value=30).map(float), min_size=2, max_size=60),
+    st.booleans(),
+)
+plateau_values = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=1, max_value=12)),
+    min_size=1,
+    max_size=10,
+).map(lambda runs: [float(level) for level, length in runs for _ in range(length)]).filter(
+    lambda xs: len(xs) >= 2
+)
+sawtooth_values = st.builds(
+    lambda n, tooth, up: [float((i % tooth) if up else -(i % tooth)) + 0.01 * i for i in range(n)],
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=1, max_value=9),
+    st.booleans(),
+)
 
 
 class TestPenetrableVisible:
@@ -138,6 +160,35 @@ class TestOracleEquivalence:
             x = rng.integers(0, 4, n).astype(float)  # many repeated values
             rho = int(rng.integers(0, 4))
             assert edge_set(build_lphvg(x, rho)) == lphvg_reference_edges(x, rho)
+
+
+class TestBuilderShapes:
+    @pytest.mark.parametrize(
+        "values", [monotone_values, plateau_values, sawtooth_values],
+        ids=["monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rho=rhos)
+    def test_matches_naive_and_reference(self, values, data, rho):
+        x = data.draw(values)
+        g = build_lphvg(x, rho)
+        assert g == build_lphvg_naive(x, rho)
+        assert edge_set(g) == lphvg_reference_edges(x, rho)
+
+    def test_decreasing_build_is_not_quadratic(self):
+        x = np.arange(20000, 0, -1, dtype=float)
+        t0 = time.perf_counter()
+        g = build_lphvg(x, 1)
+        assert time.perf_counter() - t0 < 2.0
+        assert g.edge_count == 2 * 20000 - 3  # the band j - i <= 2
+
+    def test_csr_arrays_are_read_only(self):
+        g = build_lphvg(np.random.default_rng(4).random(50), 1)
+        assert not g.indptr.flags.writeable
+        assert not g.indices.flags.writeable
+        with pytest.raises(ValueError):
+            g.indices[0] = 1
+        assert not g.neighbors[3].flags.writeable
 
 
 class TestStructuralInvariants:

@@ -25,6 +25,7 @@ from lphvg import (
 from lphvg.generators import IidSpec
 from lphvg.metrics import (
     VERDICT_DEVIATING,
+    _clustering,
     VERDICT_IID,
     InsufficientBinsError,
     interior_nodes,
@@ -84,6 +85,14 @@ class TestClustering:
         g = build_lphvg(list(range(20)), 1)
         assert local_clustering(g, 10) == pytest.approx(0.5)
         assert 0 < mean_clustering(g) < 1
+
+    @pytest.mark.parametrize("rho", [0, 1, 3])
+    def test_local_matches_whole_graph_vector(self, rho):
+        x = np.random.default_rng(rho).integers(0, 6, 400).astype(float)  # ties too
+        g = build_lphvg(x, rho)
+        local = [local_clustering(g, i) for i in range(g.n)]
+        assert local == _clustering(g)
+        assert mean_clustering(g) == sum(local) / g.n
 
 
 class TestPathLength:
