@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .graph import VisibilityGraph, build_lphvg
 from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
@@ -48,16 +49,31 @@ def graph_distance(g1: VisibilityGraph, g2: VisibilityGraph) -> float:
 
 
 def distance_matrix(graphs: list[VisibilityGraph]) -> np.ndarray:
-    count = len(graphs)
-    dist = np.zeros((count, count))
-    for m in range(count):
-        for n in range(m + 1, count):
-            dist[m, n] = dist[n, m] = graph_distance(graphs[m], graphs[n])
-    return dist
+    """graph_distance for every pair, from one sparse product of edge incidences."""
+    if not graphs:
+        return np.zeros((0, 0))
+    if any(g.n != graphs[0].n for g in graphs):
+        raise ValueError(f"node counts differ: {sorted({g.n for g in graphs})}")
+    sizes = np.array([g.edge_codes.size for g in graphs])
+    edges, cols = np.unique(np.concatenate([g.edge_codes for g in graphs]), return_inverse=True)
+    rows = np.repeat(np.arange(len(graphs)), sizes)
+    inc = sparse.csr_array((np.ones(cols.size), (rows, cols)), shape=(len(graphs), edges.size))
+    common = (inc @ inc.T).toarray()  # shared edges of every pair
+    return np.sqrt(2.0 * (sizes[:, None] + sizes[None, :] - 2 * common))
 
 
 def _window_graphs(values: np.ndarray, rho: int, cfg: WindowConfig) -> list[VisibilityGraph]:
-    return [build_lphvg(values[a:b], rho) for a, b in make_windows(values.size, cfg)]
+    """Each window's graph, cut from one build of the whole series: a link
+    depends only on the values between its endpoints."""
+    whole = build_lphvg(values, rho)
+    graphs = []
+    for a, b in make_windows(values.size, cfg):
+        ptr = whole.indptr[a : b + 1]
+        idx = whole.indices[ptr[0] : ptr[-1]]
+        keep = (idx >= a) & (idx < b)
+        indptr = np.concatenate([[0], np.cumsum(keep)])[ptr - ptr[0]]
+        graphs.append(VisibilityGraph(b - a, rho, indptr, (idx[keep] - a).astype(np.int32)))
+    return graphs
 
 
 def threshold_from_random(

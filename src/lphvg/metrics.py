@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import shortest_path
-from scipy.stats import linregress
 
 from . import theory
 from .graph import VisibilityGraph, build_lphvg
 from .series import as_values, validate_rho
 
 EXACT_PATH_LENGTH_MAX_NODES = 2000
+PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
 DEFAULT_PATH_SAMPLE_PAIRS = 10_000
 
 # Verdict thresholds, calibrated on seeded uniform/gaussian/powerlaw series of
@@ -112,6 +111,32 @@ def mean_clustering(graph: VisibilityGraph) -> float:
     return sum(_clustering(graph)) / graph.n
 
 
+def _bfs_distance_sum(graph: VisibilityGraph, lo: int, hi: int, max_depth: int):
+    """Sum of BFS distances from sources lo..hi-1, run at once (MS-BFS): source lo+s
+    is bit s%64 of word s//64 of each node's row, a level is one reduceat over the
+    CSR rows (none may be empty). inf if a node is unreachable, None past max_depth."""
+    src = np.arange(hi - lo)
+    seen = np.zeros((graph.n, (hi - lo + 63) // 64), dtype=np.uint64)
+    seen[src + lo, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
+    frontier, total = seen, 0
+    for level in range(1, max_depth + 2):
+        frontier = np.bitwise_or.reduceat(frontier[graph.indices], graph.indptr[:-1], axis=0)
+        frontier &= ~seen
+        count = int(np.bitwise_count(frontier).sum())
+        if count == 0:
+            return total if int(np.bitwise_count(seen).sum()) == graph.n * src.size else math.inf
+        seen |= frontier
+        total += level * count
+    return None
+
+
+def _shortest_paths(graph: VisibilityGraph, indices=None) -> np.ndarray:
+    from scipy.sparse.csgraph import shortest_path  # slow to import: deep or large graphs only
+
+    adj = _adjacency(graph)
+    return shortest_path(adj, method="D", unweighted=True, directed=False, indices=indices)
+
+
 def mean_path_length(
     graph: VisibilityGraph,
     sample_pairs: int | None = None,
@@ -119,16 +144,21 @@ def mean_path_length(
 ) -> float:
     """Average shortest-path length over distinct node pairs.
 
-    Exact BFS over all pairs for n <= 2000; larger graphs average over
-    `sample_pairs` seeded uniform random pairs (default 10000).
+    Exact for n <= 2000 (bit-parallel BFS, or scipy if a 64-source probe runs
+    deeper than PATH_PROBE_DEPTH); larger graphs average over `sample_pairs`
+    seeded uniform random pairs (default 10000).
     """
     if sample_pairs is not None and sample_pairs <= 0:
         raise ValueError(f"sample_pairs must be positive, got {sample_pairs}")
-    adj = _adjacency(graph)
     n = graph.n
     if n <= EXACT_PATH_LENGTH_MAX_NODES and sample_pairs is None:
-        dist = shortest_path(adj, method="D", unweighted=True, directed=False)
-        total = dist[np.triu_indices(n, k=1)].sum()
+        if graph.degrees().min() == 0:
+            return math.inf  # an isolated node is unreachable
+        total = _bfs_distance_sum(graph, 0, min(n, 64), PATH_PROBE_DEPTH)
+        if total is None:
+            total = _shortest_paths(graph)[np.triu_indices(n, k=1)].sum()
+        elif total < math.inf:  # connected: count each unordered pair once
+            total = (total + (_bfs_distance_sum(graph, 64, n, n) if n > 64 else 0)) // 2
         return float(total) / (n * (n - 1) // 2)
     pairs = sample_pairs if sample_pairs is not None else DEFAULT_PATH_SAMPLE_PAIRS
     rng = np.random.default_rng(seed)
@@ -136,7 +166,7 @@ def mean_path_length(
     dst = rng.integers(0, n - 1, pairs)
     dst = np.where(dst >= src, dst + 1, dst)  # exclude the diagonal
     order = np.unique(src)
-    dist = shortest_path(adj, method="D", unweighted=True, directed=False, indices=order)
+    dist = _shortest_paths(graph, order)
     row = {s: r for r, s in enumerate(order)}
     return float(np.mean([dist[row[s], d] for s, d in zip(src, dst)]))
 
@@ -207,6 +237,16 @@ class TailFit:
     range_extended: bool
 
 
+def _linear_fit(x, y):
+    """(slope, slope stderr, r) of y on x by OLS, in scipy.stats.linregress's arithmetic."""
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    return ssxym / ssxm, np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)), r
+
+
 def fit_tail(
     dist: DegreeDistribution,
     rho: int,
@@ -236,13 +276,12 @@ def fit_tail(
         raise InsufficientBinsError(
             f"tail fit needs >= 4 bins with count >= {min_count}, found {len(ks)}"
         )
-    log_pmf = [math.log(dist.pmf(k)) for k in ks]
-    res = linregress(ks, log_pmf)
+    slope, stderr, r = _linear_fit(ks, [math.log(dist.pmf(k)) for k in ks])
     return TailFit(
-        lambda_hat=-float(res.slope),
-        stderr=float(res.stderr),
+        lambda_hat=-float(slope),
+        stderr=float(stderr),
         k_range=(ks[0], ks[-1]),
-        r2=float(res.rvalue) ** 2,
+        r2=float(r) ** 2,
         n_bins=len(ks),
         range_extended=extended,
     )
@@ -369,7 +408,8 @@ def discriminate(series, rho: int) -> DiscriminationResult:
     n = 3000). The tail decay estimate and its 3-sigma comparison against
     ln((2rho+3)/(2rho+2)) are reported but do not gate the verdict: the
     envelope formulas are soft bounds in practice, and structured series can
-    match the tail slope while deviating elsewhere.
+    match the tail slope while deviating elsewhere. With too few bins to fit
+    (a constant series, say) the fit fields are NaN.
     """
     values = as_values(series)
     rho = validate_rho(rho)
@@ -381,7 +421,10 @@ def discriminate(series, rho: int) -> DiscriminationResult:
         )
     graph = build_lphvg(values, rho)
     dist = degree_distribution(graph)
-    fit = fit_tail(dist, rho)
+    try:
+        fit = fit_tail(dist, rho)
+    except InsufficientBinsError:  # constant or few-level input: no tail to fit
+        fit = TailFit(math.nan, math.nan, (math.nan, math.nan), math.nan, 0, True)
     fsr = finite_size_report(dist, rho)
     chi2, df = degree_law_chi2(dist, rho)
     if df == 0:

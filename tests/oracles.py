@@ -1,6 +1,10 @@
 """Independent reference implementations used as test oracles."""
 from __future__ import annotations
 
+import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import shortest_path
+
 
 def hvg_reference_edges(values) -> set[tuple[int, int]]:
     """Textbook horizontal visibility graph: all intermediates strictly below
@@ -28,6 +32,14 @@ def lphvg_reference_edges(values, rho: int) -> set[tuple[int, int]]:
             if blockers <= rho:
                 edges.add((i, j))
     return edges
+
+
+def path_length_reference(graph) -> float:
+    """Mean shortest-path length over i < j by scipy's per-source search."""
+    i, j = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2).T
+    adj = coo_array((np.ones(i.size), (i, j)), shape=(graph.n, graph.n))
+    dist = shortest_path(adj, method="D", unweighted=True, directed=False)
+    return float(dist[np.triu_indices(graph.n, k=1)].sum()) / (graph.n * (graph.n - 1) // 2)
 
 
 def edge_set(graph) -> set[tuple[int, int]]:

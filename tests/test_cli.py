@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lphvg
 from lphvg.cli import main
 
 
@@ -110,6 +116,37 @@ class TestDiscriminate:
                       "--rho", "1", "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "values, fitted",
+        [
+            (np.ones(3000), False),
+            (np.tile([0.0, 1.0], 1500), False),
+            (np.round(np.random.default_rng(2).random(3000), 1), True),
+        ],
+        ids=["constant", "two-level", "rounded"],
+    )
+    def test_degenerate_input_exits_0(self, tmp_path, values, fitted):
+        src = tmp_path / "s.csv"
+        src.write_text("\n".join(format(v, ".17g") for v in values) + "\n")
+        out = tmp_path / "v.json"
+        assert run(["discriminate", "--input", str(src), "--rho", "1", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["verdict"] == "deviating"
+        assert math.isnan(payload["lambda_hat"]) is not fitted
+        if not fitted:
+            assert payload["lambda_consistent"] is False
+
+
+def test_import_skips_scipy_stats_and_csgraph():
+    code = (
+        "import sys, lphvg.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.sparse.csgraph') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lphvg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestVerify:

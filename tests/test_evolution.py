@@ -83,7 +83,13 @@ class TestDistanceMatrix:
         mat = distance_matrix(graphs)
         assert np.array_equal(mat, mat.T)
         assert np.array_equal(np.diag(mat), np.zeros(5))
-        assert mat[0, 1] == pytest.approx(graph_distance(graphs[0], graphs[1]))
+        pairwise = [[graph_distance(a, b) for b in graphs] for a in graphs]
+        assert np.array_equal(mat, np.array(pairwise))
+
+    def test_empty_and_unequal_sizes(self):
+        assert distance_matrix([]).shape == (0, 0)
+        with pytest.raises(ValueError, match="node counts differ"):
+            distance_matrix([build_lphvg([1, 2, 3], 0), build_lphvg([1, 2], 0)])
 
 
 class TestThreshold:

@@ -6,14 +6,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lphvg import (
     TimeSeries,
+    WindowConfig,
     affine_transform,
     build_lphvg,
     build_lphvg_naive,
+    make_windows,
+    mean_path_length,
     penetrable_visible,
     write_adjacency_csv,
     write_edge_list,
 )
-from oracles import edge_set, hvg_reference_edges, lphvg_reference_edges
+from lphvg.evolution import _window_graphs
+from oracles import edge_set, hvg_reference_edges, lphvg_reference_edges, path_length_reference
 
 series_values = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -170,10 +174,15 @@ class TestBuilderShapes:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), rho=rhos)
     def test_matches_naive_and_reference(self, values, data, rho):
-        x = data.draw(values)
+        x = np.asarray(data.draw(values))
         g = build_lphvg(x, rho)
         assert g == build_lphvg_naive(x, rho)
         assert edge_set(g) == lphvg_reference_edges(x, rho)
+        assert mean_path_length(g) == path_length_reference(g)
+        window_len = data.draw(st.integers(min_value=2, max_value=x.size))
+        cfg = WindowConfig(window_len, data.draw(st.integers(1, max(1, window_len - 1))))
+        windows = [build_lphvg(x[a:b], rho) for a, b in make_windows(x.size, cfg)]
+        assert _window_graphs(x, rho, cfg) == windows
 
     def test_decreasing_build_is_not_quadratic(self):
         x = np.arange(20000, 0, -1, dtype=float)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from lphvg import (
     DegreeDistribution,
@@ -23,13 +24,19 @@ from lphvg import (
     mean_path_length,
 )
 from lphvg.generators import IidSpec
+from lphvg.graph import VisibilityGraph
 from lphvg.metrics import (
+    DEGREE_CHI2_THRESHOLD,
+    PATH_PROBE_DEPTH,
     VERDICT_DEVIATING,
+    _bfs_distance_sum,
     _clustering,
+    _linear_fit,
     VERDICT_IID,
     InsufficientBinsError,
     interior_nodes,
 )
+from oracles import path_length_reference
 
 
 def path_graph(n):
@@ -113,6 +120,31 @@ class TestPathLength:
     def test_sample_pairs_validation(self):
         with pytest.raises(ValueError):
             mean_path_length(path_graph(5), sample_pairs=0)
+
+    @pytest.mark.parametrize(
+        "values, deep",
+        [
+            (np.random.default_rng(65).random(65), False),
+            (np.random.default_rng(700).random(700), False),
+            (np.random.default_rng(2000).random(2000), False),
+            (np.arange(2000, 0, -1, dtype=float), True),
+        ],
+        ids=["iid65", "iid700", "iid2000", "decreasing2000"],
+    )
+    def test_matches_scipy(self, values, deep):
+        g = build_lphvg(values, 1)
+        assert (_bfs_distance_sum(g, 0, 64, PATH_PROBE_DEPTH) is None) is deep  # probe's choice
+        assert mean_path_length(g) == path_length_reference(g)
+
+    def test_unreachable_pairs_give_inf(self):
+        def graph(indptr, indices):
+            return VisibilityGraph(4, 0, np.array(indptr), np.array(indices, dtype=np.int32))
+
+        isolated = graph([0, 1, 3, 4, 4], [1, 0, 2, 1])  # path 0-1-2, node 3 alone
+        assert mean_path_length(isolated) == math.inf
+        assert path_length_reference(isolated) == math.inf
+        two_parts = graph([0, 1, 2, 3, 4], [1, 0, 3, 2])  # edges (0, 1) and (2, 3)
+        assert mean_path_length(two_parts) == math.inf
 
     def test_large_graph_samples_automatically(self):
         # path graph on n nodes has exact mean distance (n+1)/3
@@ -219,6 +251,21 @@ class TestFitTail:
         with pytest.raises(InsufficientBinsError):
             fit_tail(DegreeDistribution(counts, 150), 1)
 
+    def test_linear_fit_is_linregress_bit_for_bit(self):
+        def same(a, b):
+            return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+        rng = np.random.default_rng(8)
+        cases = [([4, 5, 6, 7], [math.log(0.25)] * 4)]  # flat pmf: r is NaN
+        cases.append((list(range(4, 11)), [-0.2 * k for k in range(4, 11)]))
+        for _ in range(200):
+            ks = sorted(rng.choice(60, int(rng.integers(4, 25)), replace=False).tolist())
+            cases.append((ks, (rng.normal(size=len(ks)) - 0.3 * np.array(ks)).tolist()))
+        for ks, y in cases:
+            ref = linregress(ks, y)
+            slope, stderr, r = _linear_fit(ks, y)
+            assert same(slope, ref.slope) and same(stderr, ref.stderr) and same(r, ref.rvalue)
+
     def test_explicit_k_hi(self):
         counts = {k: 4 ** (k - 4) * 5 ** (10 - k) for k in range(4, 11)}
         dist = DegreeDistribution(counts, sum(counts.values()))
@@ -300,6 +347,28 @@ class TestDiscriminate:
         with pytest.warns(UserWarning, match="soft floor"):
             res = discriminate(ts, 1)
         assert res.verdict in (VERDICT_IID, VERDICT_DEVIATING)
+
+    @pytest.mark.parametrize(
+        "values, fitted",
+        [
+            (np.ones(3000), False),
+            (np.tile([0.0, 1.0], 1500), False),
+            (np.random.default_rng(5).integers(0, 2, 3000).astype(float), True),
+            (np.round(np.random.default_rng(6).random(3000), 1), True),
+        ],
+        ids=["constant", "alternating", "two-level", "rounded"],
+    )
+    def test_degenerate_series_get_an_answer(self, values, fitted):
+        if not fitted:
+            with pytest.raises(InsufficientBinsError):
+                fit_tail(degree_distribution(build_lphvg(values, 1)), 1)
+        res = discriminate(values, 1)
+        assert res.verdict == VERDICT_DEVIATING
+        assert res.chi2_reduced > DEGREE_CHI2_THRESHOLD
+        assert math.isnan(res.lambda_hat) is not fitted
+        assert math.isnan(res.lambda_stderr) is not fitted
+        assert math.isnan(res.fit_r2) is not fitted
+        assert fitted or not res.lambda_consistent
 
     def test_record_is_json_ready(self):
         import json
