@@ -195,13 +195,14 @@ def cmd_discriminate(args) -> int:
         series = _generate_series(args)
     result = discriminate(series, args.rho)
     out = Path(args.out)
-    payload = result.to_dict()
+    payload = json.loads(json.dumps(result.to_dict()), parse_constant=lambda _: None)  # NaN as null
     payload["config"] = {
         "rho": args.rho,
         "input": str(args.input) if args.input else None,
         **({k: v for k, v in _series_config(args).items() if v is not None} if not args.input else {}),
     }
-    _atomic_write(out, lambda p: p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _atomic_write(out, lambda p: p.write_text(text))
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "discriminate",
@@ -288,11 +289,11 @@ def cmd_verify(args) -> int:
     # simultaneous check over ~30 separations with few-seed (t-distributed)
     # standard errors: use a family-wise 0.1% bound so a pass/fail verdict is
     # reproducible without seed luck; genuine deviations sit far outside it
-    from scipy.stats import t as student_t
+    from scipy.special import stdtrit  # the t quantile, as scipy.stats.t.ppf computes it
 
     n_checked = max(1, max_sep - (rho + 1))
     if args.seeds > 1:
-        se_factor = max(3.0, float(student_t.ppf(1.0 - 0.0005 / n_checked, args.seeds - 1)))
+        se_factor = max(3.0, float(stdtrit(args.seeds - 1, 1.0 - 0.0005 / n_checked)))
     else:
         se_factor = math.inf
     for sep in range(1, max_sep + 1):

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .graph import VisibilityGraph, build_lphvg
 from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
@@ -50,6 +49,8 @@ def graph_distance(g1: VisibilityGraph, g2: VisibilityGraph) -> float:
 
 def distance_matrix(graphs: list[VisibilityGraph]) -> np.ndarray:
     """graph_distance for every pair, from one sparse product of edge incidences."""
+    from scipy import sparse  # slow to import: only evolve needs it
+
     if not graphs:
         return np.zeros((0, 0))
     if any(g.n != graphs[0].n for g in graphs):

@@ -7,7 +7,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import theory
 from .graph import VisibilityGraph, build_lphvg
@@ -88,19 +87,41 @@ def local_clustering(graph: VisibilityGraph, node: int) -> float:
     return int(np.isin(rows, nb).sum()) / (k * (k - 1))  # 2 * triangles / (k(k-1))
 
 
-def _adjacency(graph: VisibilityGraph) -> sparse.csr_array:
-    """The graph's own CSR arrays as a scipy matrix with unit weights."""
-    data = np.ones(graph.indices.size, dtype=np.int64)
-    return sparse.csr_array((data, graph.indices, graph.indptr), shape=(graph.n, graph.n))
+def _triangles(graph: VisibilityGraph) -> np.ndarray:
+    """Triangles through each node by degree-ordered compact-forward (Latapy 2008):
+    edges point from the lower (degree, index) end w up, so each triangle is one
+    linked pair u < v of w's out-neighbours (a bit of u's map of its next 64
+    indices, else u*n+v in edge_codes); even a hub costs O(m^1.5) lookups."""
+    n, k, nb = graph.n, graph.degrees(), graph.indices
+    src = np.repeat(np.arange(n), k)
+    fwd = (k[src] < k[nb]) | ((k[src] == k[nb]) & (src < nb))
+    w, out = src[fwd], nb[fwd].astype(np.int64)  # out-neighbours, ascending per node
+    later = np.cumsum(np.bincount(w, minlength=n))[w] - np.arange(out.size) - 1
+    gap = (nb - src - 1).astype(np.uint64)  # wraps round for left neighbours
+    near = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(near, src[gap < 64], np.left_shift(np.uint64(1), gap[gap < 64]))
+    cum, codes, hits = np.cumsum(later), graph.edge_codes, np.zeros((2, out.size))
+    ends = np.searchsorted(cum, np.arange(1 << 16, cum[-1] if cum.size else 0, 1 << 16))
+    for a, b in zip(np.r_[0, ends], np.r_[ends, out.size]):  # 65536 pairs at a time
+        r = later[a:b]
+        first = np.repeat(np.arange(a, b), r)
+        second = first + np.arange(first.size) - np.repeat(np.cumsum(r) - r, r) + 1
+        u, v = out[first], out[second]
+        d = (v - u - 1).astype(np.uint64)
+        hit = (d < 64) & (near[u] >> np.minimum(d, 63) & 1).astype(bool)
+        far = np.flatnonzero(d >= 64)
+        code = u[far] * n + v[far]
+        hit[far] = codes[np.searchsorted(codes, code).clip(max=codes.size - 1)] == code
+        hits[0, a:b] += np.bincount(first - a, hit, b - a)  # triangles found as u
+        as_v = np.bincount(second - a, hit)  # and as v
+        hits[1, a : a + as_v.size] += as_v
+    return (np.bincount(w, hits[0], n) + np.bincount(out, hits.sum(0), n)).astype(np.int64)
 
 
 def _clustering(graph: VisibilityGraph) -> list[float]:
-    """Local clustering of every node, from one sparse product (A·A)∘A."""
-    adj = _adjacency(graph)
-    links = (adj @ adj).multiply(adj).sum(axis=1)  # 2 * triangles per node
-    k = graph.degrees()
-    pairs = k * (k - 1)
-    return np.divide(links, pairs, out=np.zeros(graph.n), where=pairs > 0).tolist()
+    """Local clustering of every node, 2 * triangles / (k(k-1))."""
+    pairs = graph.degrees() * (graph.degrees() - 1)
+    return np.divide(2 * _triangles(graph), pairs, out=np.zeros(graph.n), where=pairs > 0).tolist()
 
 
 def mean_degree_empirical(graph: VisibilityGraph) -> float:
@@ -131,9 +152,11 @@ def _bfs_distance_sum(graph: VisibilityGraph, lo: int, hi: int, max_depth: int):
 
 
 def _shortest_paths(graph: VisibilityGraph, indices=None) -> np.ndarray:
-    from scipy.sparse.csgraph import shortest_path  # slow to import: deep or large graphs only
+    from scipy import sparse  # slow to import: deep or large graphs only
+    from scipy.sparse.csgraph import shortest_path
 
-    adj = _adjacency(graph)
+    data = np.ones(graph.indices.size, dtype=np.int64)
+    adj = sparse.csr_array((data, graph.indices, graph.indptr), shape=(graph.n, graph.n))
     return shortest_path(adj, method="D", unweighted=True, directed=False, indices=indices)
 
 

@@ -34,6 +34,15 @@ def lphvg_reference_edges(values, rho: int) -> set[tuple[int, int]]:
     return edges
 
 
+def triangle_reference(values, rho: int) -> list[int]:
+    """Triangles through each node of lphvg_reference_edges, by set loops."""
+    nbrs = [set() for _ in range(len(values))]
+    for i, j in lphvg_reference_edges(values, rho):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return [sum(1 for a in nb for b in nb if a < b and b in nbrs[a]) for nb in nbrs]
+
+
 def path_length_reference(graph) -> float:
     """Mean shortest-path length over i < j by scipy's per-source search."""
     i, j = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2).T

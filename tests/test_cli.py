@@ -131,22 +131,56 @@ class TestDiscriminate:
         src.write_text("\n".join(format(v, ".17g") for v in values) + "\n")
         out = tmp_path / "v.json"
         assert run(["discriminate", "--input", str(src), "--rho", "1", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(), parse_constant=reject_constant)
         assert payload["verdict"] == "deviating"
-        assert math.isnan(payload["lambda_hat"]) is not fitted
+        assert (payload["lambda_hat"] is None) is not fitted
         if not fitted:
             assert payload["lambda_consistent"] is False
+            assert payload["fit_k_range"] == [None, None]
 
 
-def test_import_skips_scipy_stats_and_csgraph():
-    code = (
-        "import sys, lphvg.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.sparse.csgraph') if m in sys.modules])"
-    )
+def reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded in a fresh interpreter after running `code`."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     env = dict(os.environ, PYTHONPATH=str(Path(lphvg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_skips_scipy_stats_and_csgraph():
+    assert scipy_modules_after("import lphvg.cli") == []
+
+
+def test_discriminate_build_and_verify_skip_scipy_sparse_and_stats(tmp_path):
+    src = tmp_path / "s.csv"
+    src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(1).random(600)))
+    code = f"""from lphvg.cli import main
+assert main(["discriminate", "--family", "uniform", "--n", "600", "--rho", "1",
+             "--out", {str(tmp_path / "v.json")!r}]) == 0
+assert main(["build", "--input", {str(src)!r}, "--format", "edges", "--rho", "1",
+             "--out", {str(tmp_path / "g.txt")!r}]) == 0"""
+    assert scipy_modules_after(code) == []
+    code += f"""
+main(["verify", "--rho", "1", "--n", "600", "--seeds", "3", "--outdir", {str(tmp_path)!r}])"""
+    loaded = scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.stats"))]
+
+
+def test_stdtrit_is_t_ppf_bit_for_bit():
+    from scipy.special import stdtrit
+    from scipy.stats import t
+
+    for df in range(1, 51):
+        for n_checked in range(1, 31):
+            p = 1.0 - 0.0005 / n_checked  # the quantiles cmd_verify asks for
+            assert np.float64(stdtrit(df, p)).tobytes() == np.float64(t.ppf(p, df)).tobytes()
 
 
 class TestVerify:

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import linregress
 
 from lphvg import (
@@ -32,11 +34,13 @@ from lphvg.metrics import (
     _bfs_distance_sum,
     _clustering,
     _linear_fit,
+    _triangles,
     VERDICT_IID,
     InsufficientBinsError,
     interior_nodes,
 )
-from oracles import path_length_reference
+from oracles import lphvg_reference_edges, path_length_reference, triangle_reference
+from shapes import monotone_values, plateau_values, rhos, sawtooth_values
 
 
 def path_graph(n):
@@ -45,6 +49,11 @@ def path_graph(n):
 
 def k4():
     return build_lphvg([3, 1, 2, 4], 1)
+
+
+def hub_series(n):
+    """One huge value, then an increasing run: node 0 links to every node."""
+    return np.r_[1e9, np.arange(1, n, dtype=float)]
 
 
 class TestDegreeDistribution:
@@ -100,6 +109,39 @@ class TestClustering:
         local = [local_clustering(g, i) for i in range(g.n)]
         assert local == _clustering(g)
         assert mean_clustering(g) == sum(local) / g.n
+
+    @staticmethod
+    def assert_matches_oracle(x, rho):
+        g = build_lphvg(x, rho)
+        tri = triangle_reference(x, rho)
+        k = [0] * g.n
+        for i, j in lphvg_reference_edges(x, rho):
+            k[i] += 1
+            k[j] += 1
+        assert _triangles(g).tolist() == tri
+        assert _clustering(g) == [2 * t / (d * (d - 1)) if d > 1 else 0.0 for t, d in zip(tri, k)]
+
+    @pytest.mark.parametrize(
+        "values", [monotone_values, plateau_values, sawtooth_values],
+        ids=["monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rho=rhos)
+    def test_matches_triangle_oracle(self, values, data, rho):
+        self.assert_matches_oracle(np.asarray(data.draw(values)), rho)
+
+    @pytest.mark.parametrize("rho", [0, 1, 2, 3])
+    def test_hub_and_iid_match_triangle_oracle(self, rho):
+        self.assert_matches_oracle(hub_series(90), rho)
+        # linked pairs more than 64 apart are looked up in edge_codes, not the bit map
+        self.assert_matches_oracle(np.random.default_rng(rho).random(150), rho)
+
+    def test_hub_clustering_is_not_quadratic(self):
+        g = build_lphvg(hub_series(20000), 1)
+        t0 = time.perf_counter()
+        c = mean_clustering(g)
+        assert time.perf_counter() - t0 < 1.0  # the sparse product (A·A)∘A took about 12 s
+        assert 0 < c < 1
 
 
 class TestPathLength:
