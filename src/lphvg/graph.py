@@ -19,6 +19,7 @@ from .series import as_values, validate_rho
 
 ADJACENCY_EXPORT_MAX_NODES = 2000
 _EDGE_CHUNK_ROWS = 4096
+_EDGE_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +187,30 @@ def build_lphvg_naive(series, rho: int) -> VisibilityGraph:
 
 
 def write_edge_list(graph: VisibilityGraph, path) -> None:
-    """Write edges as lines "i j" (i < j, zero-based, lexicographic order)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for i, j in graph.edges():
-            fh.write(f"{i} {j}\n")
+    """Write edges as lines "i j" (i < j, zero-based, lexicographic order).
+
+    numpy makes the bytes from a table of each node id's right-aligned ASCII
+    digits (leading zeros set to 0, then dropped), in chunks of at most
+    _EDGE_CHUNK_ENTRIES CSR entries or one row, so memory stays bounded.
+    """
+    powers = 10 ** np.arange(len(str(graph.n - 1)) - 1, -1, -1, dtype=np.int64)
+    ids = np.arange(graph.n, dtype=np.int64)[:, None]
+    table = (ids // powers % 10 + ord("0")).astype(np.uint8)
+    table[:, :-1][ids < powers[:-1]] = 0  # the units digit always prints
+    w = powers.size
+    with Path(path).open("wb") as fh:
+        a = 0
+        while a < graph.n:
+            end = np.searchsorted(graph.indptr, graph.indptr[a] + _EDGE_CHUNK_ENTRIES, "right")
+            b = max(a + 1, int(end) - 1)
+            i, j = graph._upper(a, b)
+            buf = np.empty((i.size, 2 * w + 2), dtype=np.uint8)
+            buf[:, :w] = np.take(table, i, axis=0)  # np.take gathers rows faster than table[i]
+            buf[:, w] = ord(" ")
+            buf[:, w + 1 : -1] = np.take(table, j, axis=0)
+            buf[:, -1] = ord("\n")
+            fh.write(buf[buf != 0].tobytes())
+            a = b
 
 
 def write_adjacency_csv(graph: VisibilityGraph, path) -> None:
@@ -199,9 +220,8 @@ def write_adjacency_csv(graph: VisibilityGraph, path) -> None:
             f"adjacency export limited to n <= {ADJACENCY_EXPORT_MAX_NODES} "
             f"(got n={graph.n}); use the edge-list format"
         )
-    adj = np.zeros((graph.n, graph.n), dtype=np.int8)
-    adj[np.repeat(np.arange(graph.n), graph.degrees()), graph.indices] = 1
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for row in adj:
-            fh.write(",".join(map(str, row)))
-            fh.write("\n")
+    buf = np.full((graph.n, 2 * graph.n), ord(","), dtype=np.uint8)
+    buf[:, ::2] = ord("0")
+    buf[:, -1] = ord("\n")
+    buf[np.repeat(np.arange(graph.n), graph.degrees()), 2 * graph.indices] = ord("1")
+    Path(path).write_bytes(buf.tobytes())

@@ -123,6 +123,8 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
         col_idx = header.index(column)
     else:
         col_idx = int(column)
+        if col_idx < 0:
+            raise ValueError(f"column index must be >= 0, got {col_idx}")
 
     values: list[float] = []
     labels: list[str] = []

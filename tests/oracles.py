@@ -21,17 +21,36 @@ def hvg_reference_edges(values) -> set[tuple[int, int]]:
 
 
 def lphvg_reference_edges(values, rho: int) -> set[tuple[int, int]]:
-    """Pair-by-pair blocker count, plain Python loops."""
+    """Pair-by-pair blocker count, plain Python loops; a pair's count stops
+    once it exceeds rho."""
     x = list(map(float, values))
     n = len(x)
     edges = set()
     for i in range(n):
         for j in range(i + 1, n):
             lo = min(x[i], x[j])
-            blockers = sum(1 for q in range(i + 1, j) if x[q] >= lo)
-            if blockers <= rho:
+            blockers = 0
+            for q in range(i + 1, j):
+                blockers += x[q] >= lo
+                if blockers > rho:
+                    break
+            else:
                 edges.add((i, j))
     return edges
+
+
+def edge_list_reference(values, rho: int) -> bytes:
+    """The edge-list file of lphvg_reference_edges, one f-string per edge."""
+    return "".join(f"{i} {j}\n" for i, j in sorted(lphvg_reference_edges(values, rho))).encode()
+
+
+def adjacency_reference(values, rho: int) -> bytes:
+    """The adjacency CSV of lphvg_reference_edges, from a dense list-of-lists matrix."""
+    n = len(values)
+    adj = [[0] * n for _ in range(n)]
+    for i, j in lphvg_reference_edges(values, rho):
+        adj[i][j] = adj[j][i] = 1
+    return "".join(",".join(map(str, row)) + "\n" for row in adj).encode()
 
 
 def triangle_reference(values, rho: int) -> list[int]:

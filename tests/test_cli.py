@@ -85,6 +85,14 @@ class TestBuild:
         assert rc == 1
         assert "edge-list" in capsys.readouterr().err
 
+    def test_negative_column_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("a,1.0\nb,3.0\nc,2.0\n")
+        rc = run(["build", "--input", str(src), "--column", "-1", "--rho", "1",
+                  "--out", str(tmp_path / "g.txt")])
+        assert rc == 1
+        assert "column index" in capsys.readouterr().err
+
     def test_missing_input(self, tmp_path):
         rc = run(["build", "--input", str(tmp_path / "nope.csv"), "--rho", "0",
                   "--out", str(tmp_path / "g.txt")])

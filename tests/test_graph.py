@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import lphvg.graph
 from lphvg import (
     TimeSeries,
     WindowConfig,
@@ -17,7 +18,14 @@ from lphvg import (
     write_edge_list,
 )
 from lphvg.evolution import _window_graphs
-from oracles import edge_set, hvg_reference_edges, lphvg_reference_edges, path_length_reference
+from oracles import (
+    adjacency_reference,
+    edge_list_reference,
+    edge_set,
+    hvg_reference_edges,
+    lphvg_reference_edges,
+    path_length_reference,
+)
 from shapes import monotone_values, plateau_values, rhos, sawtooth_values, series_values
 
 class TestPenetrableVisible:
@@ -252,3 +260,48 @@ class TestExports:
         g = build_lphvg(np.arange(2001.0), 0)
         with pytest.raises(ValueError, match="edge-list"):
             write_adjacency_csv(g, tmp_path / "big.csv")
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 1001])
+    @pytest.mark.parametrize("rho", [0, 1, 2, 3])
+    def test_edge_list_matches_oracle_at_digit_widths(self, tmp_path, n, rho):
+        x = np.random.default_rng(n * 10 + rho).random(n)
+        p = tmp_path / "edges.txt"
+        write_edge_list(build_lphvg(x, rho), p)
+        assert p.read_bytes() == edge_list_reference(x, rho)
+
+    @pytest.mark.parametrize(
+        "values", [monotone_values, plateau_values, sawtooth_values],
+        ids=["monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rho=rhos)
+    def test_edge_list_matches_oracle_on_shapes(self, tmp_path_factory, values, data, rho):
+        x = data.draw(values)
+        p = tmp_path_factory.mktemp("shapes") / "edges.txt"
+        write_edge_list(build_lphvg(x, rho), p)
+        assert p.read_bytes() == edge_list_reference(x, rho)
+
+    @pytest.mark.parametrize("rho", [0, 2])
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_edge_list_hub_row(self, tmp_path, monkeypatch, rho, chunk):
+        if chunk is not None:  # chunks end mid-way, at the hub and after it
+            monkeypatch.setattr(lphvg.graph, "_EDGE_CHUNK_ENTRIES", chunk)
+        x = [1e9, *range(1, 300)]  # node 0 sees every later point
+        p = tmp_path / "edges.txt"
+        write_edge_list(build_lphvg(x, rho), p)
+        assert p.read_bytes() == edge_list_reference(x, rho)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 11])
+    @pytest.mark.parametrize("rho", [0, 1, 2])
+    def test_adjacency_csv_matches_oracle(self, tmp_path, n, rho):
+        x = np.random.default_rng(n * 10 + rho).random(n)
+        p = tmp_path / "adj.csv"
+        write_adjacency_csv(build_lphvg(x, rho), p)
+        assert p.read_bytes() == adjacency_reference(x, rho)
+
+    def test_adjacency_csv_at_the_limit_is_fast(self, tmp_path):
+        g = build_lphvg(np.random.default_rng(6).random(2000), 2)
+        t0 = time.perf_counter()
+        write_adjacency_csv(g, tmp_path / "adj.csv")
+        assert time.perf_counter() - t0 < 0.3
+        assert (tmp_path / "adj.csv").stat().st_size == 2000 * 4000

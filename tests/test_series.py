@@ -62,6 +62,14 @@ def test_unknown_column_name(tmp_path):
         load_series(p, column="c", has_header=True)
 
 
+@pytest.mark.parametrize("column", [-1, "-1"], ids=["int", "str"])
+def test_negative_column_index_rejected(tmp_path, column):
+    p = tmp_path / "s.csv"
+    p.write_text("a,1.0\nb,2.0\n")
+    with pytest.raises(ValueError, match="column index must be >= 0"):
+        load_series(p, column=column)
+
+
 def test_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(5)
     vals = np.concatenate([rng.random(50), [0.1, 1 / 3, math.pi, 1e-300, 1e300]])
