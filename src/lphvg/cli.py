@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, theory
+from . import __version__
 from .evolution import WindowConfig, evolve
 from .generators import (
     FLOW_SYSTEMS,
@@ -31,14 +30,7 @@ from .generators import (
     gen_periodic,
 )
 from .graph import build_lphvg, write_adjacency_csv, write_edge_list
-from .metrics import (
-    DegreeDistribution,
-    clustering_coverage,
-    degree_distribution,
-    discriminate,
-    link_frequency_by_separation,
-    mean_degree_empirical,
-)
+from .metrics import discriminate, verify_ensemble
 from .series import RngConfig, TimeSeries, load_series, write_series
 
 MAP_SYSTEMS = ("logistic", "henon")
@@ -196,10 +188,11 @@ def cmd_discriminate(args) -> int:
     result = discriminate(series, args.rho)
     out = Path(args.out)
     payload = json.loads(json.dumps(result.to_dict()), parse_constant=lambda _: None)  # NaN as null
+    source = {} if args.input else _series_config(args)
     payload["config"] = {
         "rho": args.rho,
         "input": str(args.input) if args.input else None,
-        **({k: v for k, v in _series_config(args).items() if v is not None} if not args.input else {}),
+        **{k: v for k, v in source.items() if v is not None},
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _atomic_write(out, lambda p: p.write_text(text))
@@ -215,142 +208,23 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rho = args.rho
+    report = verify_ensemble(args.rho, args.n, args.seeds, args.seed, args.family)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    pooled: dict[int, int] = {}
-    total_nodes = 0
-    mean_degrees = []
-    coverages = []
-    freq_rows = []
-    max_sep = 30
-    for seed in range(args.seeds):
-        spec = IidSpec(family=args.family, n=args.n, rng=RngConfig(args.seed, seed))
-        graph = build_lphvg(gen_iid(spec), rho)
-        dist = degree_distribution(graph)
-        for k, c in dist.counts.items():
-            pooled[k] = pooled.get(k, 0) + c
-        total_nodes += graph.n
-        mean_degrees.append(mean_degree_empirical(graph))
-        coverages.append(clustering_coverage(graph).fraction)
-        freq_rows.append(link_frequency_by_separation(graph, max_sep))
-
-    pooled_dist = DegreeDistribution(pooled, total_nodes)
-    k_min = 2 * (rho + 1)
-    pmf_rows = []
-    failures = []
-    # thresholds are designed for the 10-seed ensemble; smaller ensembles get
-    # proportionally looser bounds so the checks keep ~the same power
-    e_threshold = 0.15 * max(1.0, math.sqrt(10.0 / args.seeds))
-    for k in range(k_min, pooled_dist.max_degree + 1):
-        p_the = theory.degree_pmf(rho, k)
-        p_num = pooled_dist.pmf(k)
-        err = abs(p_num - p_the) / p_the
-        expected = args.n * p_the
-        pmf_rows.append((k, pooled[k] if k in pooled else 0, p_num, p_the, err))
-        if expected >= 50 and err >= e_threshold:
-            failures.append(f"pmf E(k={k}) = {err:.3f} >= {e_threshold:.3f}")
-    _write_csv(
-        outdir / "pmf_vs_theory.csv",
-        pmf_rows,
-        ["k", "count", "pmf", "theory_pmf", "relative_error"],
-    )
-
-    fsr = metrics.finite_size_report(pooled_dist, rho)
-    _write_csv(
-        outdir / "finite_size.csv",
-        list(fsr.per_k),
-        ["k", "relative_error"],
-    )
-    _write_csv(
-        outdir / "finite_size_summary.csv",
-        [(fsr.me, fsr.me_sum, fsr.k0, fsr.e_threshold)],
-        ["me", "me_sum", "k0", "e_threshold"],
-    )
-
-    md = float(np.mean(mean_degrees))
-    md_rel = abs(md - theory.mean_degree(rho)) / theory.mean_degree(rho)
-    if md_rel >= 0.05:
-        failures.append(f"mean degree {md:.3f} deviates {md_rel:.3%} from {theory.mean_degree(rho)}")
-
-    cov = float(np.mean(coverages))
-    band = metrics.COVERAGE_BANDS.get(rho)
-    cov_ok = band is None or band[0] <= cov <= band[1]
-    if not cov_ok:
-        failures.append(f"coverage {cov:.4f} outside iid band {band}")
-    _write_csv(
-        outdir / "coverage.csv",
-        list(enumerate(coverages)),
-        ["seed", "coverage"],
-    )
-
-    freq = np.vstack(freq_rows)
-    rows = []
-    # simultaneous check over ~30 separations with few-seed (t-distributed)
-    # standard errors: use a family-wise 0.1% bound so a pass/fail verdict is
-    # reproducible without seed luck; genuine deviations sit far outside it
-    from scipy.special import stdtrit  # the t quantile, as scipy.stats.t.ppf computes it
-
-    n_checked = max(1, max_sep - (rho + 1))
-    if args.seeds > 1:
-        se_factor = max(3.0, float(stdtrit(args.seeds - 1, 1.0 - 0.0005 / n_checked)))
-    else:
-        se_factor = math.inf
-    for sep in range(1, max_sep + 1):
-        col = freq[:, sep - 1]
-        emp = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(len(col))) if len(col) > 1 else math.nan
-        th = theory.long_visibility_prob(rho, sep)
-        rows.append((sep, emp, se, th, theory.long_visibility_prob_classic(rho, sep)))
-        if sep <= rho + 1:
-            if emp != 1.0:
-                failures.append(f"band link frequency at sep={sep} is {emp} != 1")
-        elif len(col) > 1 and se > 0 and abs(emp - th) > se_factor * se:
-            failures.append(
-                f"link frequency at sep={sep}: {emp:.5f} vs {th:.5f} "
-                f"(bound {se_factor:.1f}*se = {se_factor * se:.5f})"
-            )
-    _write_csv(
-        outdir / "long_distance.csv",
-        rows,
-        ["sep", "empirical", "stderr", "probability", "probability_classic"],
-    )
-
-    _write_csv(
-        outdir / "theory_table.csv",
-        [
-            (r["k"], r["pmf"], r["c_min"], r["c_max"], int(r["c_max_extrapolated"]))
-            for r in theory.degree_table(
-                rho,
-                pooled_dist.max_degree,
-                unvalidated=rho > theory.CLUSTERING_RHO_MAX,
-            )
-        ],
-        ["k", "pmf", "c_min", "c_max", "c_max_extrapolated"],
-    )
-
+    for name, (header, rows) in report.tables.items():
+        _write_csv(outdir / name, rows, header)
     _write_manifest(
         outdir / "manifest.json",
         "verify",
-        {
-            "rho": rho,
-            "n": args.n,
-            "seeds": args.seeds,
-            "seed": args.seed,
-            "family": args.family,
-        },
-        {name: outdir / name for name in (
-            "pmf_vs_theory.csv", "finite_size.csv", "finite_size_summary.csv",
-            "coverage.csv", "long_distance.csv", "theory_table.csv",
-        )},
+        {"rho": args.rho, "n": args.n, "seeds": args.seeds, "seed": args.seed,
+         "family": args.family},
+        {name: outdir / name for name in report.tables},
     )
-
-    for line in failures:
+    for line in report.failures:
         print(f"FAIL: {line}", file=sys.stderr)
-    status = "pass" if not failures else "fail"
-    print(f"verify {status}: rho={rho} n={args.n} seeds={args.seeds} "
-          f"mean_degree={md:.3f} coverage={cov:.4f} k0={fsr.k0}")
-    return 0 if not failures else 1
+    status = "fail" if report.failures else "pass"
+    print(f"verify {status}: rho={args.rho} n={args.n} seeds={args.seeds} "
+          f"mean_degree={report.mean_degree:.3f} coverage={report.coverage:.4f} k0={report.k0}")
+    return 1 if report.failures else 0
 
 
 def cmd_evolve(args) -> int:

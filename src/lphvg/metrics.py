@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
+from .generators import IidSpec, gen_iid
 from .graph import VisibilityGraph, build_lphvg
-from .series import as_values, validate_rho
+from .series import RngConfig, as_values, validate_rho
 
 EXACT_PATH_LENGTH_MAX_NODES = 2000
 PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
@@ -35,6 +36,7 @@ VERDICT_IID = "consistent-with-iid"
 VERDICT_DEVIATING = "deviating"
 
 DISCRIMINATE_SOFT_FLOOR = 500
+VERIFY_MAX_SEP = 30  # separations whose link frequency verify_ensemble checks
 
 
 class InsufficientBinsError(ValueError):
@@ -65,9 +67,6 @@ class DegreeDistribution:
     @property
     def max_degree(self) -> int:
         return max(self.counts)
-
-    def items(self):
-        return sorted(self.counts.items())
 
 
 def degree_distribution(graph: VisibilityGraph) -> DegreeDistribution:
@@ -352,31 +351,25 @@ def clustering_coverage(graph: VisibilityGraph, tol: float = 1e-12) -> CoverageR
 
     Uses the extrapolated maximum below its stated domain; rho > 2 evaluates
     the formulas outside their stated scope (callers should treat the result
-    as unvalidated there).
+    as unvalidated there). The envelope is evaluated once per distinct degree.
     """
-    rho = graph.rho
-    unvalidated = rho > theory.CLUSTERING_RHO_MAX
-    below = above = inside = total = 0
-    degrees = graph.degrees().tolist()
-    clustering = _clustering(graph)
-    for i in interior_nodes(graph):
-        k, c = degrees[i], clustering[i]
-        lo = theory.clustering_min(rho, k, unvalidated=unvalidated)
-        hi = theory.clustering_max(rho, k, unvalidated=unvalidated)
-        total += 1
-        if c < lo - tol:
-            below += 1
-        elif c > hi + tol:
-            above += 1
-        else:
-            inside += 1
-    if total == 0:
+    rho, interior = graph.rho, interior_nodes(graph)
+    if not interior:
         raise ValueError("graph has no interior nodes")
+    span = slice(interior.start, interior.stop)
+    c = np.asarray(_clustering(graph))[span]
+    ks, inverse = np.unique(graph.degrees()[span], return_inverse=True)
+    unvalidated = rho > theory.CLUSTERING_RHO_MAX
+    lo = np.array([theory.clustering_min(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
+    hi = np.array([theory.clustering_max(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
+    below = c < lo[inverse] - tol
+    above = ~below & (c > hi[inverse] + tol)
+    n_below, n_above = int(below.sum()), int(above.sum())
     return CoverageReport(
-        fraction=inside / total,
-        interior_count=total,
-        below_min=below,
-        above_max=above,
+        fraction=(len(interior) - n_below - n_above) / len(interior),
+        interior_count=len(interior),
+        below_min=n_below,
+        above_max=n_above,
     )
 
 
@@ -483,3 +476,110 @@ def discriminate(series, rho: int) -> DiscriminationResult:
         k0=fsr.k0,
         mean_degree=mean_degree_empirical(graph),
     )
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """verify_ensemble's outcome: each artifact name's (header, rows), the failed
+    checks (empty when all pass) and the ensemble's summary figures."""
+
+    tables: dict[str, tuple[list[str], list[tuple]]]
+    failures: list[str]
+    mean_degree: float
+    coverage: float
+    k0: int
+
+
+def verify_ensemble(
+    rho: int, n: int, seeds: int, seed: int = 0, family: str = "uniform"
+) -> VerifyReport:
+    """Check the closed-form i.i.d. laws on the LPHVGs of `seeds` seeded series.
+
+    Series s is gen_iid of `family` with RngConfig(seed, s), s = 0..seeds-1,
+    and one graph is alive at a time. Five checks: the pooled degree pmf per
+    well-populated bin, the mean degree 4(rho+1), the mean clustering coverage
+    against its i.i.d. band (rho <= 2), certain links inside the band, and the
+    link frequency against the long-distance law for separations beyond it.
+    """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    pooled = Counter()
+    mean_degrees, coverages, freq_rows = [], [], []
+    for stream in range(seeds):
+        graph = build_lphvg(gen_iid(IidSpec(family=family, n=n, rng=RngConfig(seed, stream))), rho)
+        pooled.update(graph.degrees().tolist())
+        mean_degrees.append(mean_degree_empirical(graph))
+        coverages.append(clustering_coverage(graph).fraction)
+        freq_rows.append(link_frequency_by_separation(graph, VERIFY_MAX_SEP))
+    dist = DegreeDistribution(dict(pooled), n * seeds)
+    fsr = finite_size_report(dist, rho)
+
+    failures = []
+    # thresholds are designed for the 10-seed ensemble; smaller ensembles get
+    # proportionally looser bounds so the checks keep ~the same power
+    e_threshold = 0.15 * max(1.0, math.sqrt(10.0 / seeds))
+    pmf_rows = []
+    for k, err in fsr.per_k:
+        p_the = theory.degree_pmf(rho, k)
+        pmf_rows.append((k, pooled[k], dist.pmf(k), p_the, err))
+        if n * p_the >= 50 and err >= e_threshold:
+            failures.append(f"pmf E(k={k}) = {err:.3f} >= {e_threshold:.3f}")
+
+    md, md_theory = float(np.mean(mean_degrees)), theory.mean_degree(rho)
+    md_rel = abs(md - md_theory) / md_theory
+    if md_rel >= 0.05:
+        failures.append(f"mean degree {md:.3f} deviates {md_rel:.3%} from {md_theory}")
+
+    cov = float(np.mean(coverages))
+    band = COVERAGE_BANDS.get(rho)
+    if band is not None and not band[0] <= cov <= band[1]:
+        failures.append(f"coverage {cov:.4f} outside iid band {band}")
+
+    # simultaneous check over ~30 separations with few-seed (t-distributed)
+    # standard errors: use a family-wise 0.1% bound so a pass/fail verdict is
+    # reproducible without seed luck; genuine deviations sit far outside it
+    from scipy.special import stdtrit  # the t quantile, as scipy.stats.t.ppf computes it
+
+    n_checked = max(1, VERIFY_MAX_SEP - (rho + 1))
+    se_factor = math.inf
+    if seeds > 1:
+        se_factor = max(3.0, float(stdtrit(seeds - 1, 1.0 - 0.0005 / n_checked)))
+    freq = np.vstack(freq_rows)
+    long_rows = []
+    for sep in range(1, VERIFY_MAX_SEP + 1):
+        col = freq[:, sep - 1]
+        emp = float(col.mean())
+        se = float(col.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else math.nan
+        th = theory.long_visibility_prob(rho, sep)
+        long_rows.append((sep, emp, se, th, theory.long_visibility_prob_classic(rho, sep)))
+        if sep <= rho + 1:
+            if emp != 1.0:
+                failures.append(f"band link frequency at sep={sep} is {emp} != 1")
+        elif seeds > 1 and se > 0 and abs(emp - th) > se_factor * se:
+            failures.append(
+                f"link frequency at sep={sep}: {emp:.5f} vs {th:.5f} "
+                f"(bound {se_factor:.1f}*se = {se_factor * se:.5f})"
+            )
+
+    envelope = theory.degree_table(
+        rho, dist.max_degree, unvalidated=rho > theory.CLUSTERING_RHO_MAX
+    )
+    tables = {
+        "pmf_vs_theory.csv": (["k", "count", "pmf", "theory_pmf", "relative_error"], pmf_rows),
+        "finite_size.csv": (["k", "relative_error"], list(fsr.per_k)),
+        "finite_size_summary.csv": (
+            ["me", "me_sum", "k0", "e_threshold"],
+            [(fsr.me, fsr.me_sum, fsr.k0, fsr.e_threshold)],
+        ),
+        "coverage.csv": (["seed", "coverage"], list(enumerate(coverages))),
+        "long_distance.csv": (
+            ["sep", "empirical", "stderr", "probability", "probability_classic"],
+            long_rows,
+        ),
+        "theory_table.csv": (
+            ["k", "pmf", "c_min", "c_max", "c_max_extrapolated"],
+            [(r["k"], r["pmf"], r["c_min"], r["c_max"], int(r["c_max_extrapolated"]))
+             for r in envelope],
+        ),
+    }
+    return VerifyReport(tables, failures, md, cov, fsr.k0)

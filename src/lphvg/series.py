@@ -7,9 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-# Number of allowed penetrations per link; rho = 0 recovers the plain HVG.
-Penetrability = int
-
 
 def validate_rho(rho: int) -> int:
     if not isinstance(rho, (int, np.integer)) or isinstance(rho, bool):

@@ -7,7 +7,6 @@ and distribution-free: they depend only on the penetrability rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .series import validate_rho
 
@@ -77,13 +76,18 @@ def mean_degree_periodic_exact(rho: int, period: int) -> float:
     return 4.0 * slots - 2.0 * own_copies / period
 
 
-def _check_clustering_args(rho: int, k: int, unvalidated: bool) -> tuple[int, int]:
+def _check_scope(rho: int, unvalidated: bool) -> int:
     rho = validate_rho(rho)
     if rho > CLUSTERING_RHO_MAX and not unvalidated:
         raise ValueError(
             f"clustering envelope is stated for rho in 0..{CLUSTERING_RHO_MAX}; "
             "pass unvalidated=True to evaluate the formula anyway"
         )
+    return rho
+
+
+def _check_clustering_args(rho: int, k: int, unvalidated: bool) -> tuple[int, int]:
+    rho = _check_scope(rho, unvalidated)
     k = int(k)
     if k < 2 * (rho + 1):
         raise ValueError(f"k must be >= 2(rho+1) = {2 * (rho + 1)}, got {k}")
@@ -135,12 +139,7 @@ def clustering_pmf_min(rho: int, c: float, *, unvalidated: bool = False) -> floa
     evaluates the degree law at that k; c must invert to an integer
     k >= 2(rho+1) within 1e-6.
     """
-    rho = validate_rho(rho)
-    if rho > CLUSTERING_RHO_MAX and not unvalidated:
-        raise ValueError(
-            f"clustering envelope is stated for rho in 0..{CLUSTERING_RHO_MAX}; "
-            "pass unvalidated=True to evaluate the formula anyway"
-        )
+    rho = _check_scope(rho, unvalidated)
     if not 0 < c <= 1:
         raise ValueError(f"clustering value must lie in (0, 1], got {c}")
     k_real = _invert_clustering(c, c + 2 * rho + 2, 8 * (2 * rho + 1))
@@ -159,12 +158,7 @@ def clustering_pmf_max(rho: int, c: float, *, unvalidated: bool = False) -> floa
     Same inversion with phi = c + 4rho + 2, discriminant term 8c(6rho+1);
     valid for k within the stated max-envelope domain k >= 2(2rho+1).
     """
-    rho = validate_rho(rho)
-    if rho > CLUSTERING_RHO_MAX and not unvalidated:
-        raise ValueError(
-            f"clustering envelope is stated for rho in 0..{CLUSTERING_RHO_MAX}; "
-            "pass unvalidated=True to evaluate the formula anyway"
-        )
+    rho = _check_scope(rho, unvalidated)
     if not 0 < c <= 1:
         raise ValueError(f"clustering value must lie in (0, 1], got {c}")
     k_real = _invert_clustering(c, c + 4 * rho + 2, 8 * (6 * rho + 1))
@@ -208,30 +202,6 @@ def long_visibility_prob_classic(rho: int, sep: int) -> float:
     return min(1.0, (2 * rho * (rho + 1) + 2) / (sep * (sep + 1.0)))
 
 
-@dataclass(frozen=True)
-class TheoryModel:
-    """Bundle of the closed-form predictors for one penetrability."""
-
-    rho: int
-
-    def __post_init__(self):
-        validate_rho(self.rho)
-
-    @property
-    def decay_rate(self) -> float:
-        return decay_rate(self.rho)
-
-    @property
-    def k_min(self) -> int:
-        return 2 * (self.rho + 1)
-
-    def degree_pmf(self, k: int) -> float:
-        return degree_pmf(self.rho, k)
-
-    def mean_degree(self) -> float:
-        return mean_degree(self.rho)
-
-
 def degree_table(rho: int, k_max: int, *, unvalidated: bool = False) -> list[dict]:
     """Rows (k, pmf, c_min, c_max, c_max_extrapolated) for k = 2(rho+1)..k_max."""
     rho = validate_rho(rho)
@@ -247,16 +217,3 @@ def degree_table(rho: int, k_max: int, *, unvalidated: bool = False) -> list[dic
             }
         )
     return rows
-
-
-def long_visibility_table(rho: int, max_sep: int) -> list[dict]:
-    """Rows (sep, probability, probability_classic) for sep = 1..max_sep."""
-    rho = validate_rho(rho)
-    return [
-        {
-            "sep": sep,
-            "probability": long_visibility_prob(rho, sep),
-            "probability_classic": long_visibility_prob_classic(rho, sep),
-        }
-        for sep in range(1, int(max_sep) + 1)
-    ]

@@ -62,6 +62,31 @@ def triangle_reference(values, rho: int) -> list[int]:
     return [sum(1 for a in nb for b in nb if a < b and b in nbrs[a]) for nb in nbrs]
 
 
+def coverage_reference(graph, tol: float = 1e-12) -> tuple[float, int, int, int]:
+    """(fraction, interior count, below, above) of the clustering envelope by a
+    per-node loop that evaluates the envelope at every interior node."""
+    from lphvg import clustering_max, clustering_min, local_clustering
+
+    rho = graph.rho
+    unvalidated = rho > 2
+    below = above = inside = total = 0
+    degrees = graph.degrees().tolist()
+    for i in range(rho + 1, graph.n - rho - 1):
+        k, c = degrees[i], local_clustering(graph, i)
+        lo = clustering_min(rho, k, unvalidated=unvalidated)
+        hi = clustering_max(rho, k, unvalidated=unvalidated)
+        total += 1
+        if c < lo - tol:
+            below += 1
+        elif c > hi + tol:
+            above += 1
+        else:
+            inside += 1
+    if total == 0:
+        raise ValueError("graph has no interior nodes")
+    return inside / total, total, below, above
+
+
 def path_length_reference(graph) -> float:
     """Mean shortest-path length over i < j by scipy's per-source search."""
     i, j = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2).T

@@ -187,8 +187,12 @@ def test_stdtrit_is_t_ppf_bit_for_bit():
 
     for df in range(1, 51):
         for n_checked in range(1, 31):
-            p = 1.0 - 0.0005 / n_checked  # the quantiles cmd_verify asks for
+            p = 1.0 - 0.0005 / n_checked  # the quantiles verify_ensemble asks for
             assert np.float64(stdtrit(df, p)).tobytes() == np.float64(t.ppf(p, df)).tobytes()
+
+
+VERIFY_ARTIFACTS = ("pmf_vs_theory.csv", "finite_size.csv", "finite_size_summary.csv",
+                    "coverage.csv", "long_distance.csv", "theory_table.csv", "manifest.json")
 
 
 class TestVerify:
@@ -197,10 +201,30 @@ class TestVerify:
         rc = run(["verify", "--rho", "1", "--n", "3000", "--seeds", "3",
                   "--family", "uniform", "--outdir", str(outdir)])
         assert rc == 0
-        for name in ("pmf_vs_theory.csv", "finite_size.csv",
-                     "finite_size_summary.csv", "coverage.csv",
-                     "long_distance.csv", "theory_table.csv", "manifest.json"):
+        for name in VERIFY_ARTIFACTS:
             assert (outdir / name).exists()
+        assert lphvg.verify_ensemble(1, 3000, 3).failures == []
+
+    def test_failed_checks_exit_1_and_still_write(self, tmp_path, capsys):
+        # n=40 is far too short for the asymptotic mean degree and coverage band
+        outdir = tmp_path / "rep"
+        rc = run(["verify", "--rho", "1", "--n", "40", "--seeds", "2",
+                  "--outdir", str(outdir)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("verify fail: rho=1 n=40 seeds=2 ")
+        assert "FAIL: mean degree" in err and "FAIL: coverage" in err
+        assert all(line.startswith("FAIL: ") for line in err.splitlines())
+        for name in VERIFY_ARTIFACTS:
+            assert (outdir / name).exists()
+        assert lphvg.verify_ensemble(1, 40, 2).failures
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_exit_1(self, tmp_path, capsys, seeds):
+        rc = run(["verify", "--rho", "1", "--n", "100", "--seeds", seeds,
+                  "--outdir", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: seeds must be >= 1, got {seeds}\n"
 
     def test_rho3_no_band_still_runs(self, tmp_path):
         outdir = tmp_path / "rep3"

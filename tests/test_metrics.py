@@ -39,8 +39,13 @@ from lphvg.metrics import (
     InsufficientBinsError,
     interior_nodes,
 )
-from oracles import lphvg_reference_edges, path_length_reference, triangle_reference
-from shapes import monotone_values, plateau_values, rhos, sawtooth_values
+from oracles import (
+    coverage_reference,
+    lphvg_reference_edges,
+    path_length_reference,
+    triangle_reference,
+)
+from shapes import monotone_values, plateau_values, rhos, sawtooth_values, series_values
 
 
 def path_graph(n):
@@ -348,6 +353,38 @@ class TestCoverage:
         cov = clustering_coverage(build_lphvg(np.random.default_rng(3).random(500), 1))
         inside = cov.interior_count - cov.below_min - cov.above_max
         assert inside / cov.interior_count == pytest.approx(cov.fraction)
+
+    @staticmethod
+    def assert_matches_reference(x, rho):
+        g = build_lphvg(x, rho)
+        if g.n <= 2 * (rho + 1):
+            with pytest.raises(ValueError, match="no interior nodes"):
+                coverage_reference(g)
+            with pytest.raises(ValueError, match="no interior nodes"):
+                clustering_coverage(g)
+            return
+        cov = clustering_coverage(g)
+        got = (cov.fraction, cov.interior_count, cov.below_min, cov.above_max)
+        assert got == coverage_reference(g)
+
+    @pytest.mark.parametrize(
+        "values", [series_values, monotone_values, plateau_values, sawtooth_values],
+        ids=["random", "monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rho=rhos)
+    def test_matches_per_node_reference(self, values, data, rho):
+        # rho 3 and 4 evaluate the envelope outside its stated scope
+        self.assert_matches_reference(np.asarray(data.draw(values)), rho)
+
+    @pytest.mark.parametrize("rho", range(5))
+    def test_iid_matches_per_node_reference(self, rho):
+        self.assert_matches_reference(np.random.default_rng(rho).random(400), rho)
+
+    @pytest.mark.parametrize("rho", range(5))
+    def test_tiny_graph_has_no_interior(self, rho):
+        for n in range(2, 2 * (rho + 1) + 1):
+            self.assert_matches_reference(np.random.default_rng(n).random(n), rho)
 
 
 class TestLinkFrequency:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lphvg import (
-    TheoryModel,
     clustering_max,
     clustering_min,
     clustering_pmf_max,
@@ -17,11 +16,7 @@ from lphvg import (
     mean_degree_periodic,
     mean_degree_periodic_exact,
 )
-from lphvg.theory import (
-    clustering_max_is_extrapolated,
-    degree_table,
-    long_visibility_table,
-)
+from lphvg.theory import clustering_max_is_extrapolated, degree_table
 from oracles import geometric_pmf_series_mean, lphvg_reference_edges
 
 
@@ -30,6 +25,7 @@ class TestDegreePmf:
         assert degree_pmf(1, 4) == 1 / 5
         assert degree_pmf(1, 5) == 4 / 25
         assert degree_pmf(0, 2) == 1 / 3
+        assert degree_pmf(2, 6) == pytest.approx(1 / 7)
 
     def test_out_of_support(self):
         assert degree_pmf(1, 3) == 0.0
@@ -68,6 +64,7 @@ class TestMeanDegree:
     def test_infinite(self):
         assert mean_degree(0) == 4
         assert mean_degree(1) == 8
+        assert mean_degree(2) == 12
 
     def test_periodic_values(self):
         assert mean_degree_periodic(1, 10) == pytest.approx(6.8)
@@ -195,6 +192,8 @@ class TestLongVisibility:
         assert long_visibility_prob(0, 2) == pytest.approx(1 / 3)
         assert long_visibility_prob(1, 3) == pytest.approx(1 / 2)
         assert long_visibility_prob(1, 2) == 1.0
+        assert long_visibility_prob(2, 4) == pytest.approx(12 / 20)
+        assert long_visibility_prob_classic(2, 4) == pytest.approx(14 / 20)
 
     def test_band_is_certain(self):
         for rho in range(5):
@@ -250,18 +249,3 @@ class TestTables:
         assert rows[0]["pmf"] == 1 / 5
         assert rows[0]["c_max_extrapolated"] is True
         assert rows[2]["c_max_extrapolated"] is False
-
-    def test_long_visibility_table(self):
-        rows = long_visibility_table(2, 6)
-        assert [r["sep"] for r in rows] == [1, 2, 3, 4, 5, 6]
-        assert rows[0]["probability"] == 1.0
-        assert rows[3]["probability"] == pytest.approx(12 / 20)
-        assert rows[3]["probability_classic"] == pytest.approx(14 / 20)
-
-
-def test_theory_model_bundle():
-    tm = TheoryModel(2)
-    assert tm.k_min == 6
-    assert tm.decay_rate == pytest.approx(math.log(7 / 6))
-    assert tm.degree_pmf(6) == pytest.approx(1 / 7)
-    assert tm.mean_degree() == 12
