@@ -188,11 +188,14 @@ def cmd_discriminate(args) -> int:
     result = discriminate(series, args.rho)
     out = Path(args.out)
     payload = json.loads(json.dumps(result.to_dict()), parse_constant=lambda _: None)  # NaN as null
-    source = {} if args.input else _series_config(args)
+    if args.input:
+        source = {"column": args.column, "has_header": args.has_header}
+    else:
+        source = {k: v for k, v in _series_config(args).items() if v is not None}
     payload["config"] = {
         "rho": args.rho,
         "input": str(args.input) if args.input else None,
-        **{k: v for k, v in source.items() if v is not None},
+        **source,
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _atomic_write(out, lambda p: p.write_text(text))

@@ -13,9 +13,8 @@ from .generators import IidSpec, gen_iid
 from .graph import VisibilityGraph, build_lphvg
 from .series import RngConfig, as_values, validate_rho
 
-EXACT_PATH_LENGTH_MAX_NODES = 2000
 PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
-DEFAULT_PATH_SAMPLE_PAIRS = 10_000
+DEFAULT_PATH_SAMPLE_PAIRS = 2000 * 1999  # ordered pairs: n <= 2000 is exact
 
 # Verdict thresholds, calibrated on seeded uniform/gaussian/powerlaw series of
 # n = 3000 (240 runs for the chi-square, 120 per rho for the coverage bands).
@@ -131,13 +130,13 @@ def mean_clustering(graph: VisibilityGraph) -> float:
     return sum(_clustering(graph)) / graph.n
 
 
-def _bfs_distance_sum(graph: VisibilityGraph, lo: int, hi: int, max_depth: int):
-    """Sum of BFS distances from sources lo..hi-1, run at once (MS-BFS): source lo+s
+def _bfs_distance_sum(graph: VisibilityGraph, sources: np.ndarray, max_depth: int):
+    """Sum of BFS distances from the distinct `sources`, run at once (MS-BFS): sources[s]
     is bit s%64 of word s//64 of each node's row, a level is one reduceat over the
     CSR rows (none may be empty). inf if a node is unreachable, None past max_depth."""
-    src = np.arange(hi - lo)
-    seen = np.zeros((graph.n, (hi - lo + 63) // 64), dtype=np.uint64)
-    seen[src + lo, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
+    src = np.arange(sources.size)
+    seen = np.zeros((graph.n, (src.size + 63) // 64), dtype=np.uint64)
+    seen[sources, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
     frontier, total = seen, 0
     for level in range(1, max_depth + 2):
         frontier = np.bitwise_or.reduceat(frontier[graph.indices], graph.indptr[:-1], axis=0)
@@ -150,47 +149,43 @@ def _bfs_distance_sum(graph: VisibilityGraph, lo: int, hi: int, max_depth: int):
     return None
 
 
-def _shortest_paths(graph: VisibilityGraph, indices=None) -> np.ndarray:
-    from scipy import sparse  # slow to import: deep or large graphs only
+def _shortest_paths(graph: VisibilityGraph, sources: np.ndarray) -> np.ndarray:
+    from scipy import sparse  # slow to import: deep graphs only
     from scipy.sparse.csgraph import shortest_path
 
     data = np.ones(graph.indices.size, dtype=np.int64)
     adj = sparse.csr_array((data, graph.indices, graph.indptr), shape=(graph.n, graph.n))
-    return shortest_path(adj, method="D", unweighted=True, directed=False, indices=indices)
+    return shortest_path(adj, method="D", unweighted=True, directed=False, indices=sources)
 
 
 def mean_path_length(
     graph: VisibilityGraph,
-    sample_pairs: int | None = None,
+    sample_pairs: int = DEFAULT_PATH_SAMPLE_PAIRS,
     seed: int = 0,
 ) -> float:
-    """Average shortest-path length over distinct node pairs.
+    """Average shortest-path length from a set of sources to every other node.
 
-    Exact for n <= 2000 (bit-parallel BFS, or scipy if a 64-source probe runs
-    deeper than PATH_PROBE_DEPTH); larger graphs average over `sample_pairs`
-    seeded uniform random pairs (default 10000).
+    The sources are every node (the exact mean over distinct pairs) when the
+    n(n-1) ordered pairs fit in `sample_pairs`, so n <= 2000 by default; else
+    the fewest whole 64-source words of seeded random nodes that cover
+    `sample_pairs` ordered pairs. They run as one bit-parallel BFS, or through
+    scipy if the first 64 sources probe deeper than PATH_PROBE_DEPTH.
     """
-    if sample_pairs is not None and sample_pairs <= 0:
+    if sample_pairs <= 0:
         raise ValueError(f"sample_pairs must be positive, got {sample_pairs}")
     n = graph.n
-    if n <= EXACT_PATH_LENGTH_MAX_NODES and sample_pairs is None:
-        if graph.degrees().min() == 0:
-            return math.inf  # an isolated node is unreachable
-        total = _bfs_distance_sum(graph, 0, min(n, 64), PATH_PROBE_DEPTH)
-        if total is None:
-            total = _shortest_paths(graph)[np.triu_indices(n, k=1)].sum()
-        elif total < math.inf:  # connected: count each unordered pair once
-            total = (total + (_bfs_distance_sum(graph, 64, n, n) if n > 64 else 0)) // 2
-        return float(total) / (n * (n - 1) // 2)
-    pairs = sample_pairs if sample_pairs is not None else DEFAULT_PATH_SAMPLE_PAIRS
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, n, pairs)
-    dst = rng.integers(0, n - 1, pairs)
-    dst = np.where(dst >= src, dst + 1, dst)  # exclude the diagonal
-    order = np.unique(src)
-    dist = _shortest_paths(graph, order)
-    row = {s: r for r, s in enumerate(order)}
-    return float(np.mean([dist[row[s], d] for s, d in zip(src, dst)]))
+    if graph.degrees().min() == 0:
+        return math.inf  # an isolated node is unreachable
+    sources = np.arange(n)
+    if n * (n - 1) > sample_pairs:
+        words = -(-sample_pairs // (64 * (n - 1)))
+        sources = np.sort(np.random.default_rng(seed).permutation(n)[: 64 * words])
+    total = _bfs_distance_sum(graph, sources[:64], PATH_PROBE_DEPTH)
+    if total is None:
+        total = _shortest_paths(graph, sources).sum()
+    elif total < math.inf and sources.size > 64:
+        total += _bfs_distance_sum(graph, sources[64:], n)
+    return float(total) / (sources.size * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -374,9 +369,9 @@ def clustering_coverage(graph: VisibilityGraph, tol: float = 1e-12) -> CoverageR
 
 
 def link_frequency_by_separation(graph: VisibilityGraph, max_sep: int) -> np.ndarray:
-    """freq[d-1] = (# edges with j - i = d) / (n - d) for d = 1..max_sep."""
-    if max_sep < 1:
-        raise ValueError("max_sep must be >= 1")
+    """freq[d-1] = (# edges with j - i = d) / (n - d) for d = 1..max_sep < n."""
+    if not 1 <= max_sep < graph.n:
+        raise ValueError(f"max_sep must be in 1..n-1 = {graph.n - 1}, got {max_sep}")
     i, j = np.divmod(graph.edge_codes, graph.n)
     counts = np.bincount(j - i, minlength=max_sep + 1)[1 : max_sep + 1]
     denom = np.array([graph.n - d for d in range(1, max_sep + 1)], dtype=np.float64)
@@ -503,6 +498,7 @@ def verify_ensemble(
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    max_sep = min(VERIFY_MAX_SEP, n - 1)
     pooled = Counter()
     mean_degrees, coverages, freq_rows = [], [], []
     for stream in range(seeds):
@@ -510,7 +506,7 @@ def verify_ensemble(
         pooled.update(graph.degrees().tolist())
         mean_degrees.append(mean_degree_empirical(graph))
         coverages.append(clustering_coverage(graph).fraction)
-        freq_rows.append(link_frequency_by_separation(graph, VERIFY_MAX_SEP))
+        freq_rows.append(link_frequency_by_separation(graph, max_sep))
     dist = DegreeDistribution(dict(pooled), n * seeds)
     fsr = finite_size_report(dist, rho)
 
@@ -540,13 +536,13 @@ def verify_ensemble(
     # reproducible without seed luck; genuine deviations sit far outside it
     from scipy.special import stdtrit  # the t quantile, as scipy.stats.t.ppf computes it
 
-    n_checked = max(1, VERIFY_MAX_SEP - (rho + 1))
+    n_checked = max(1, max_sep - (rho + 1))
     se_factor = math.inf
     if seeds > 1:
         se_factor = max(3.0, float(stdtrit(seeds - 1, 1.0 - 0.0005 / n_checked)))
     freq = np.vstack(freq_rows)
     long_rows = []
-    for sep in range(1, VERIFY_MAX_SEP + 1):
+    for sep in range(1, max_sep + 1):
         col = freq[:, sep - 1]
         emp = float(col.mean())
         se = float(col.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else math.nan

@@ -87,12 +87,22 @@ def coverage_reference(graph, tol: float = 1e-12) -> tuple[float, int, int, int]
     return inside / total, total, below, above
 
 
-def path_length_reference(graph) -> float:
-    """Mean shortest-path length over i < j by scipy's per-source search."""
+def _distances(graph, sources=None) -> np.ndarray:
+    """Shortest-path lengths from `sources` (default every node) by scipy's per-source search."""
     i, j = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2).T
     adj = coo_array((np.ones(i.size), (i, j)), shape=(graph.n, graph.n))
-    dist = shortest_path(adj, method="D", unweighted=True, directed=False)
+    return shortest_path(adj, method="D", unweighted=True, directed=False, indices=sources)
+
+
+def path_length_reference(graph) -> float:
+    """Mean shortest-path length over i < j by scipy's per-source search."""
+    dist = _distances(graph)
     return float(dist[np.triu_indices(graph.n, k=1)].sum()) / (graph.n * (graph.n - 1) // 2)
+
+
+def sourced_path_length_reference(graph, sources) -> float:
+    """Mean shortest-path length from each of `sources` to every other node, by scipy."""
+    return float(_distances(graph, sources).sum()) / (len(sources) * (graph.n - 1))
 
 
 def edge_set(graph) -> set[tuple[int, int]]:

@@ -219,6 +219,14 @@ class TestVerify:
             assert (outdir / name).exists()
         assert lphvg.verify_ensemble(1, 40, 2).failures
 
+    @pytest.mark.parametrize("rho, n", [(0, 3), (5, 20), (0, 31), (1, 32)])
+    def test_separations_stop_below_n(self, rho, n):
+        sep, emp, se, th, classic = zip(*lphvg.verify_ensemble(rho, n, 3).tables[
+            "long_distance.csv"][1])
+        assert sep == tuple(range(1, min(30, n - 1) + 1))
+        assert all(map(math.isfinite, emp + se + th + classic))
+        assert emp[: rho + 1] == (1.0,) * min(rho + 1, n - 1)
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seeds_below_one_exit_1(self, tmp_path, capsys, seeds):
         rc = run(["verify", "--rho", "1", "--n", "100", "--seeds", seeds,
@@ -256,6 +264,26 @@ class TestEvolveAndReplay:
         assert rc == 0
         for name in artifacts:
             assert (outdir / name).read_bytes() == (outdir2 / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "header, flags",
+        [("t,value\n", ["--has-header", "--column", "value"]), ("", ["--column", "1"])],
+        ids=["named-column", "headerless-index"],
+    )
+    def test_discriminate_input_replay_bytes(self, tmp_path, header, flags):
+        rng = np.random.default_rng(12)
+        src = tmp_path / "s.csv"
+        rows = rng.random((600, 2)).tolist()  # column 0 is a different series
+        src.write_text(header + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+        out = tmp_path / "v.json"
+        assert run(["discriminate", "--input", str(src), *flags, "--rho", "1",
+                    "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["has_header"] is bool(header) and config["column"] == flags[-1]
+        rc = run(["replay", "--manifest", str(tmp_path / "v.json.manifest.json"),
+                  "--outdir", str(tmp_path / "again")])
+        assert rc == 0
+        assert (tmp_path / "again" / "v.json").read_bytes() == out.read_bytes()
 
     def test_generate_replay_bytes(self, tmp_path):
         out = tmp_path / "g.csv"

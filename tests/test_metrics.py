@@ -34,6 +34,7 @@ from lphvg.metrics import (
     _bfs_distance_sum,
     _clustering,
     _linear_fit,
+    _shortest_paths,
     _triangles,
     VERDICT_IID,
     InsufficientBinsError,
@@ -43,6 +44,7 @@ from oracles import (
     coverage_reference,
     lphvg_reference_edges,
     path_length_reference,
+    sourced_path_length_reference,
     triangle_reference,
 )
 from shapes import monotone_values, plateau_values, rhos, sawtooth_values, series_values
@@ -180,7 +182,8 @@ class TestPathLength:
     )
     def test_matches_scipy(self, values, deep):
         g = build_lphvg(values, 1)
-        assert (_bfs_distance_sum(g, 0, 64, PATH_PROBE_DEPTH) is None) is deep  # probe's choice
+        probe = _bfs_distance_sum(g, np.arange(64), PATH_PROBE_DEPTH)
+        assert (probe is None) is deep  # probe's choice
         assert mean_path_length(g) == path_length_reference(g)
 
     def test_unreachable_pairs_give_inf(self):
@@ -199,6 +202,53 @@ class TestPathLength:
         g = path_graph(n)
         est = mean_path_length(g, seed=11)
         assert est == pytest.approx((n + 1) / 3, rel=0.03)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.random.default_rng(4).random(400), np.arange(400, 0, -1, dtype=float)],
+        ids=["iid400", "decreasing400"],  # the probe keeps the first, sends the second to scipy
+    )
+    def test_one_word_of_seeded_sources_matches_scipy(self, values):
+        n = values.size
+        g = build_lphvg(values, 1)
+        sources = np.sort(np.random.default_rng(7).permutation(n)[:64])  # one word
+        assert mean_path_length(g, sample_pairs=1, seed=7) == sourced_path_length_reference(
+            g, sources
+        )
+
+    def test_sources_cover_sample_pairs_in_whole_words(self):
+        n = 1000
+        g = build_lphvg(np.random.default_rng(5).random(n), 2)
+        for words in (1, 2, 3):
+            sources = np.sort(np.random.default_rng(1).permutation(n)[: 64 * words])
+            expect = sourced_path_length_reference(g, sources)
+            for pairs in (64 * (words - 1) * (n - 1) + 1, 64 * words * (n - 1)):
+                assert mean_path_length(g, sample_pairs=pairs, seed=1) == expect
+
+    @pytest.mark.parametrize("extra", [0, 1, 12345])
+    def test_all_ordered_pairs_give_the_exact_value(self, extra):
+        for values, rho in [
+            (np.random.default_rng(3).random(300), 1),
+            (np.arange(150, 0, -1, dtype=float), 0),  # deep: scipy
+        ]:
+            g = build_lphvg(values, rho)
+            exact = mean_path_length(g, sample_pairs=g.n * (g.n - 1) + extra, seed=5)
+            assert exact == mean_path_length(g) == path_length_reference(g)
+
+    def test_bfs_and_scipy_sum_agree_on_sampled_sources(self):
+        n = 3000
+        g = build_lphvg(np.random.default_rng(8).random(n), 2)
+        sources = np.sort(np.random.default_rng(2).permutation(n)[:192])
+        total = _bfs_distance_sum(g, sources, n)
+        assert _bfs_distance_sum(g, sources[:64], PATH_PROBE_DEPTH) is not None  # shallow
+        assert total == _shortest_paths(g, sources).sum()
+
+    def test_sampled_estimate_is_cheap(self):
+        g = build_lphvg(np.random.default_rng(0).random(20000), 1)
+        t0 = time.perf_counter()
+        est = mean_path_length(g)
+        assert time.perf_counter() - t0 < 2.0  # Dijkstra per sampled pair's source: ~41 s
+        assert 5 < est < 15
 
 
 def exact_theory_distribution(rho=1, k_lo=4, k_hi=20):
@@ -399,6 +449,13 @@ class TestLinkFrequency:
         freq = link_frequency_by_separation(g, 99)
         total = sum(freq[d - 1] * (100 - d) for d in range(1, 100))
         assert total == pytest.approx(g.edge_count)
+
+    @pytest.mark.parametrize("max_sep", [0, 3, 4, 30])
+    def test_separation_must_be_below_n(self, max_sep):
+        g = build_lphvg([0.2, 0.9, 0.1], 0)
+        with pytest.raises(ValueError, match="max_sep"):
+            link_frequency_by_separation(g, max_sep)
+        assert link_frequency_by_separation(g, 2).tolist() == [1.0, 0.0]
 
 
 class TestDiscriminate:
