@@ -53,10 +53,15 @@ def _atomic_write(path: Path, writer) -> None:
         tmp_path.unlink(missing_ok=True)
 
 
-def _write_manifest(path: Path, subcommand: str, config: dict, artifacts: dict) -> None:
+def _config(args) -> dict:
+    """Every parsed argument of a run except the subcommand and where it writes."""
+    return {k: v for k, v in vars(args).items() if k not in ("cmd", "func", "out", "outdir")}
+
+
+def _write_manifest(path: Path, args, artifacts: dict) -> None:
     payload = {
-        "subcommand": subcommand,
-        "config": config,
+        "subcommand": args.cmd,
+        "config": _config(args),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "version": __version__,
     }
@@ -66,7 +71,29 @@ def _write_manifest(path: Path, subcommand: str, config: dict, artifacts: dict) 
     )
 
 
-def _write_csv(path: Path, rows, header: list[str] | None = None) -> None:
+# the artifact each replayable subcommand writes with --out (None: --outdir)
+_REPLAY_OUT = {"generate": "series", "build": "graph", "discriminate": "verdict",
+               "verify": None, "evolve": None}
+
+
+def _write_out(args, writer) -> Path:
+    """Write the --out artifact, then `<out>.manifest.json` beside it."""
+    out = Path(args.out)
+    _atomic_write(out, writer)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args,
+                    {_REPLAY_OUT[args.cmd]: out})
+    return out
+
+
+def _write_tables(args, tables: dict) -> None:
+    """Write each {name: (header, rows)} table into --outdir, then its manifest."""
+    outdir = Path(args.outdir)
+    for name, (header, rows) in tables.items():
+        _write_csv(outdir / name, header, rows)
+    _write_manifest(outdir / "manifest.json", args, {name: outdir / name for name in tables})
+
+
+def _write_csv(path: Path, header: list[str] | None, rows) -> None:
     """Rows of Python values as CSV: floats as .17g, everything else via str."""
     def writer(p: Path):
         with p.open("w", encoding="utf-8") as fh:
@@ -129,24 +156,9 @@ def _generate_series(args) -> TimeSeries:
     return gen_flow(spec)
 
 
-def _series_config(args) -> dict:
-    keys = [
-        "family", "system", "n", "seed", "stream", "mean", "sd", "alpha", "xmin",
-        "period", "x0", "y0", "mu", "init", "dt", "transient", "stride", "component",
-    ]
-    return {k: getattr(args, k, None) for k in keys}
-
-
 def cmd_generate(args) -> int:
     series = _generate_series(args)
-    out = Path(args.out)
-    _atomic_write(out, lambda p: write_series(series, p))
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "generate",
-        _series_config(args),
-        {"series": out},
-    )
+    out = _write_out(args, lambda p: write_series(series, p))
     print(f"wrote {len(series)} samples to {out}")
     return 0
 
@@ -157,54 +169,20 @@ def _load_input(args) -> TimeSeries:
 
 
 def cmd_build(args) -> int:
-    series = _load_input(args)
-    graph = build_lphvg(series, args.rho)
-    out = Path(args.out)
-    if args.format == "edges":
-        _atomic_write(out, lambda p: write_edge_list(graph, p))
-    else:
-        _atomic_write(out, lambda p: write_adjacency_csv(graph, p))
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "build",
-        {
-            "input": str(args.input),
-            "column": args.column,
-            "has_header": args.has_header,
-            "rho": args.rho,
-            "format": args.format,
-        },
-        {"graph": out},
-    )
+    graph = build_lphvg(_load_input(args), args.rho)
+    writer = write_edge_list if args.format == "edges" else write_adjacency_csv
+    _write_out(args, lambda p: writer(graph, p))
     print(f"built LPHVG: n={graph.n} edges={graph.edge_count} rho={graph.rho}")
     return 0
 
 
 def cmd_discriminate(args) -> int:
-    if args.input:
-        series = _load_input(args)
-    else:
-        series = _generate_series(args)
+    series = _load_input(args) if args.input else _generate_series(args)
     result = discriminate(series, args.rho)
-    out = Path(args.out)
     payload = json.loads(json.dumps(result.to_dict()), parse_constant=lambda _: None)  # NaN as null
-    if args.input:
-        source = {"column": args.column, "has_header": args.has_header}
-    else:
-        source = {k: v for k, v in _series_config(args).items() if v is not None}
-    payload["config"] = {
-        "rho": args.rho,
-        "input": str(args.input) if args.input else None,
-        **source,
-    }
+    payload["config"] = _config(args)
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _atomic_write(out, lambda p: p.write_text(text))
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "discriminate",
-        payload["config"],
-        {"verdict": out},
-    )
+    _write_out(args, lambda p: p.write_text(text))
     print(f"verdict: {result.verdict} (chi2/df={result.chi2_reduced:.2f}, "
           f"coverage={result.coverage:.4f}, lambda_hat={result.lambda_hat:.4f})")
     return 0
@@ -212,16 +190,7 @@ def cmd_discriminate(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify_ensemble(args.rho, args.n, args.seeds, args.seed, args.family)
-    outdir = Path(args.outdir)
-    for name, (header, rows) in report.tables.items():
-        _write_csv(outdir / name, rows, header)
-    _write_manifest(
-        outdir / "manifest.json",
-        "verify",
-        {"rho": args.rho, "n": args.n, "seeds": args.seeds, "seed": args.seed,
-         "family": args.family},
-        {name: outdir / name for name in report.tables},
-    )
+    _write_tables(args, report.tables)
     for line in report.failures:
         print(f"FAIL: {line}", file=sys.stderr)
     status = "fail" if report.failures else "pass"
@@ -234,48 +203,20 @@ def cmd_evolve(args) -> int:
     series = _load_input(args)
     cfg = WindowConfig(window_len=args.window_len, step=args.step)
     result = evolve(series, args.rho, cfg, RngConfig(args.seed), ensemble=args.ensemble)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "distances.csv", result.distances.tolist())
-    _write_csv(outdir / "gamma.csv", result.gamma.tolist())
-    _write_csv(outdir / "recurrence.csv", result.recurrence.tolist())
-    _write_csv(
-        outdir / "window_metrics.csv",
-        [
-            (i, wm.start, wm.stop, wm.mean_degree, wm.mean_clustering, wm.mean_path_length)
-            for i, wm in enumerate(result.per_window)
-        ],
-        ["window", "start", "stop", "mean_degree", "mean_clustering", "mean_path_length"],
-    )
-    _atomic_write(
-        outdir / "theta.txt", lambda p: p.write_text(format(result.theta, ".17g") + "\n")
-    )
-    _write_manifest(
-        outdir / "manifest.json",
-        "evolve",
-        {
-            "input": str(args.input),
-            "column": args.column,
-            "has_header": args.has_header,
-            "rho": args.rho,
-            "window_len": args.window_len,
-            "step": args.step,
-            "seed": args.seed,
-            "ensemble": args.ensemble,
-        },
-        {name: outdir / name for name in (
-            "distances.csv", "gamma.csv", "recurrence.csv",
-            "window_metrics.csv", "theta.txt",
-        )},
-    )
+    _write_tables(args, {
+        "distances.csv": (None, result.distances.tolist()),
+        "gamma.csv": (None, result.gamma.tolist()),
+        "recurrence.csv": (None, result.recurrence.tolist()),
+        "window_metrics.csv": (
+            ["window", "start", "stop", "mean_degree", "mean_clustering", "mean_path_length"],
+            [(i, wm.start, wm.stop, wm.mean_degree, wm.mean_clustering, wm.mean_path_length)
+             for i, wm in enumerate(result.per_window)],
+        ),
+        "theta.txt": (None, [(result.theta,)]),
+    })
     print(f"evolve: T={result.window_count} theta={result.theta:.4f} "
           f"recurrent_offdiag={int(result.recurrence.sum() - result.window_count)}")
     return 0
-
-
-# the artifact each replayable subcommand writes with --out (None: --outdir)
-_REPLAY_OUT = {"generate": "series", "build": "graph", "discriminate": "verdict",
-               "verify": None, "evolve": None}
 
 
 def cmd_replay(args) -> int:
@@ -303,10 +244,7 @@ def _config_to_flags(config: dict) -> list[str]:
         if value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")
-        if value is True:
-            flags.append(flag)
-        else:
-            flags += [flag, str(value)]
+        flags.append(flag if value is True else f"{flag}={value}")  # "=" keeps "-1,2,3" a value
     return flags
 
 
@@ -315,10 +253,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_series_source(p: argparse.ArgumentParser, require_n: bool = True):
-    p.add_argument("--family", choices=IID_FAMILIES)
-    p.add_argument("--system", choices=ALL_SYSTEMS + ("periodic",))
-    p.add_argument("--n", type=int, required=require_n)
+def _add_input(p: argparse.ArgumentParser, source) -> None:
+    """--input, on `source` (the parser, or a group of sources), and how to read it."""
+    source.add_argument("--input", required=source is p)
+    p.add_argument("--column")
+    p.add_argument("--has-header", action="store_true")
+
+
+def _add_series_source(p: argparse.ArgumentParser, source, n_default: int | None = None):
+    """--family/--system, on the required group `source`, and the generator settings."""
+    source.add_argument("--family", choices=IID_FAMILIES)
+    source.add_argument("--system", choices=ALL_SYSTEMS + ("periodic",))
+    p.add_argument("--n", type=int, required=n_default is None, default=n_default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--mean", type=float, default=0.0)
@@ -342,14 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("generate", help="write a generated series as CSV")
-    _add_series_source(p)
+    _add_series_source(p, p.add_mutually_exclusive_group(required=True))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("build", help="build the LPHVG of a CSV series")
-    p.add_argument("--input", required=True)
-    p.add_argument("--column")
-    p.add_argument("--has-header", action="store_true")
+    _add_input(p, p)
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--format", choices=("edges", "matrix"), default="edges")
     p.add_argument("--out", required=True)
@@ -365,18 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("discriminate", help="classify a series as iid-like or deviating")
-    p.add_argument("--input")
-    p.add_argument("--column")
-    p.add_argument("--has-header", action="store_true")
-    _add_series_source(p, require_n=False)
+    source = p.add_mutually_exclusive_group(required=True)
+    _add_input(p, source)
+    _add_series_source(p, source, n_default=3000)
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("evolve", help="sliding-window evolution pipeline")
-    p.add_argument("--input", required=True)
-    p.add_argument("--column")
-    p.add_argument("--has-header", action="store_true")
+    _add_input(p, p)
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--window-len", type=int, required=True)
     p.add_argument("--step", type=int, required=True)
@@ -397,12 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd == "generate" or (args.cmd == "discriminate" and not args.input):
-            chosen = [bool(getattr(args, "family", None)), bool(getattr(args, "system", None))]
-            if sum(chosen) != 1:
-                raise CliError("choose exactly one of --family/--system (or --input)")
-            if args.cmd == "discriminate" and args.n is None:
-                args.n = 3000
         return args.func(args)
     except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,11 +39,6 @@ class VisibilityGraph:
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
 
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        """neighbors[i]: the sorted neighbors of node i, as read-only views."""
-        return tuple(np.split(self.indices, self.indptr[1:-1]))
-
     def _upper(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Edges (i, j), i < j, of rows a..b-1 in lexicographic order."""
         j = self.indices[self.indptr[a] : self.indptr[b]]
@@ -57,9 +52,6 @@ class VisibilityGraph:
         i, j = self._upper(0, self.n)
         return i.astype(np.int64) * self.n + j
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     @property
     def edge_count(self) -> int:
         return int(self.indptr[-1]) // 2
@@ -69,11 +61,6 @@ class VisibilityGraph:
         for a in range(0, self.n, _EDGE_CHUNK_ROWS):
             i, j = self._upper(a, min(a + _EDGE_CHUNK_ROWS, self.n))
             yield from zip(i.tolist(), j.tolist())
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-        k = np.searchsorted(row, j)
-        return bool(k < row.size and row[k] == j)
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 import lphvg
-from lphvg.cli import main
+from lphvg.cli import build_parser, main
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(argv):
@@ -147,6 +151,16 @@ class TestDiscriminate:
             assert payload["fit_k_range"] == [None, None]
 
 
+    def test_input_and_generator_conflict(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(0).random(600)))
+        rc = run(["discriminate", "--input", str(src), "--family", "uniform", "--rho", "1",
+                  "--out", str(tmp_path / "v.json")])
+        assert rc == 1
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
+
+
 def reject_constant(token):
     raise ValueError(f"not strict JSON: {token}")
 
@@ -234,6 +248,13 @@ class TestVerify:
         assert rc == 1
         assert capsys.readouterr().err == f"error: seeds must be >= 1, got {seeds}\n"
 
+    def test_equal_link_frequencies_pass(self, tmp_path):
+        # all three seeds link the same share of pairs at sep=21, so that
+        # separation has no spread to test against (std(ddof=1) is 2e-18, not 0)
+        assert lphvg.verify_ensemble(1, 300, 3).failures == []
+        assert run(["verify", "--rho", "1", "--n", "300", "--seeds", "3",
+                    "--outdir", str(tmp_path / "rep")]) == 0
+
     def test_rho3_no_band_still_runs(self, tmp_path):
         outdir = tmp_path / "rep3"
         rc = run(["verify", "--rho", "3", "--n", "2000", "--seeds", "2",
@@ -295,6 +316,24 @@ class TestEvolveAndReplay:
         assert rc == 0
         assert (outdir2 / "g.csv").read_bytes() == out.read_bytes()
 
+    def test_negative_value_replay_bytes(self, tmp_path):
+        out = tmp_path / "l.csv"
+        assert run(["generate", "--system", "lorenz", "--n", "200", "--init=-1,2,3",
+                    "--transient", "100", "--out", str(out)]) == 0
+        rc = run(["replay", "--manifest", str(tmp_path / "l.csv.manifest.json"),
+                  "--outdir", str(tmp_path / "again")])
+        assert rc == 0
+        assert (tmp_path / "again" / "l.csv").read_bytes() == out.read_bytes()
+
+    def test_generated_discriminate_replay_bytes(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert run(["discriminate", "--system", "henon", "--n", "800", "--seed", "4",
+                    "--rho", "1", "--out", str(out)]) == 0
+        rc = run(["replay", "--manifest", str(tmp_path / "v.json.manifest.json"),
+                  "--outdir", str(tmp_path / "again")])
+        assert rc == 0
+        assert (tmp_path / "again" / "v.json").read_bytes() == out.read_bytes()
+
     def test_manifest_without_artifacts_exits_1(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"subcommand": "generate", "config": {}}))
@@ -341,3 +380,61 @@ class TestParsing:
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
+
+
+def parser_dests(cmd: str) -> set[str]:
+    """The destinations of one subcommand's parser, without help, --out and --outdir."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[cmd]._actions} - {"help", "out", "outdir"}
+
+
+def test_manifest_config_is_every_parsed_argument(tmp_path):
+    series = str(tmp_path / "s.csv")
+    runs = [
+        (["generate", "--system", "logistic", "--n", "600", "--out", series],
+         tmp_path / "s.csv.manifest.json"),
+        (["build", "--input", series, "--has-header", "--rho", "1",
+          "--out", str(tmp_path / "g.txt")], tmp_path / "g.txt.manifest.json"),
+        (["verify", "--rho", "1", "--n", "600", "--seeds", "2", "--outdir", str(tmp_path / "rep")],
+         tmp_path / "rep" / "manifest.json"),
+        (["discriminate", "--input", series, "--has-header", "--rho", "1",
+          "--out", str(tmp_path / "v.json")], tmp_path / "v.json.manifest.json"),
+        (["discriminate", "--family", "uniform", "--n", "600", "--rho", "1",
+          "--out", str(tmp_path / "w.json")], tmp_path / "w.json.manifest.json"),
+        (["evolve", "--input", series, "--has-header", "--rho", "1", "--window-len", "200",
+          "--step", "100", "--ensemble", "2", "--outdir", str(tmp_path / "run")],
+         tmp_path / "run" / "manifest.json"),
+    ]
+    for argv, manifest in runs:
+        assert run(argv) == 0, argv
+        config = json.loads(manifest.read_text())["config"]
+        assert set(config) == parser_dests(argv[0]), argv
+    for name in ("v.json", "w.json"):
+        verdict = json.loads((tmp_path / name).read_text())
+        assert verdict["config"] == json.loads(
+            (tmp_path / f"{name}.manifest.json").read_text())["config"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The `lphvg` commands of the README's "Command line" block, as argv lists."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    argvs = [shlex.split(ln) for ln in lines]
+    assert argvs and all(argv[0] == "lphvg" for argv in argvs)
+    return [argv[1:] for argv in argvs]
+
+
+def test_readme_command_line_block(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands].count("replay") == 1
+    for argv in commands:
+        assert main(argv) == 0, argv
+    (manifest,) = [argv[argv.index("--manifest") + 1] for argv in commands if argv[0] == "replay"]
+    again = Path(commands[-1][commands[-1].index("--outdir") + 1])
+    artifacts = json.loads(Path(manifest).read_text())["artifacts"]
+    assert len(artifacts) == 5
+    for path in artifacts.values():
+        assert (again / Path(path).name).read_bytes() == Path(path).read_bytes(), path
