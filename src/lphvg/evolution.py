@@ -48,18 +48,19 @@ def graph_distance(g1: VisibilityGraph, g2: VisibilityGraph) -> float:
 
 
 def distance_matrix(graphs: list[VisibilityGraph]) -> np.ndarray:
-    """graph_distance for every pair, from one sparse product of edge incidences."""
-    from scipy import sparse  # slow to import: only evolve needs it
-
+    """graph_distance for every pair, by popcounts over packed edge bitsets."""
     if not graphs:
         return np.zeros((0, 0))
     if any(g.n != graphs[0].n for g in graphs):
         raise ValueError(f"node counts differ: {sorted({g.n for g in graphs})}")
     sizes = np.array([g.edge_codes.size for g in graphs])
     edges, cols = np.unique(np.concatenate([g.edge_codes for g in graphs]), return_inverse=True)
-    rows = np.repeat(np.arange(len(graphs)), sizes)
-    inc = sparse.csr_array((np.ones(cols.size), (rows, cols)), shape=(len(graphs), edges.size))
-    common = (inc @ inc.T).toarray()  # shared edges of every pair
+    bits = np.zeros((len(graphs), -(-edges.size // 64) * 64), dtype=bool)  # whole words
+    bits[np.repeat(np.arange(len(graphs)), sizes), cols] = True
+    words = np.packbits(bits, axis=1).view(np.uint64)  # row g: the edges of graph g
+    common = np.zeros((len(graphs), len(graphs)), dtype=np.int64)  # shared edges of each pair
+    for a in range(len(graphs)):
+        common[a, a:] = common[a:, a] = np.bitwise_count(words[a] & words[a:]).sum(axis=1)
     return np.sqrt(2.0 * (sizes[:, None] + sizes[None, :] - 2 * common))
 
 

@@ -545,14 +545,15 @@ def verify_ensemble(
     for sep in range(1, max_sep + 1):
         col = freq[:, sep - 1]
         emp = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else math.nan
+        # equal frequencies leave no spread (their std would be a rounding residue)
+        spread = bool(col.min() < col.max())
+        se = float(col.std(ddof=1) / math.sqrt(seeds)) if spread else 0.0 if seeds > 1 else math.nan
         th = theory.long_visibility_prob(rho, sep)
         long_rows.append((sep, emp, se, th, theory.long_visibility_prob_classic(rho, sep)))
         if sep <= rho + 1:
             if emp != 1.0:
                 failures.append(f"band link frequency at sep={sep} is {emp} != 1")
-        # equal frequencies leave no spread to test (std can then be a rounding residue)
-        elif col.min() < col.max() and abs(emp - th) > se_factor * se:
+        elif spread and abs(emp - th) > se_factor * se:
             failures.append(
                 f"link frequency at sep={sep}: {emp:.5f} vs {th:.5f} "
                 f"(bound {se_factor:.1f}*se = {se_factor * se:.5f})"

@@ -195,6 +195,16 @@ main(["verify", "--rho", "1", "--n", "600", "--seeds", "3", "--outdir", {str(tmp
     assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.stats"))]
 
 
+def test_iid_evolve_skips_scipy(tmp_path):
+    # shallow i.i.d. windows take the BFS, and distances need no sparse product
+    src = tmp_path / "s.csv"
+    src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(2).random(1200)))
+    code = f"""from lphvg.cli import main
+assert main(["evolve", "--input", {str(src)!r}, "--rho", "2", "--window-len", "300",
+             "--step", "100", "--ensemble", "2", "--outdir", {str(tmp_path / "run")!r}]) == 0"""
+    assert scipy_modules_after(code) == []
+
+
 def test_stdtrit_is_t_ppf_bit_for_bit():
     from scipy.special import stdtrit
     from scipy.stats import t
@@ -254,6 +264,12 @@ class TestVerify:
         assert lphvg.verify_ensemble(1, 300, 3).failures == []
         assert run(["verify", "--rho", "1", "--n", "300", "--seeds", "3",
                     "--outdir", str(tmp_path / "rep")]) == 0
+
+    def test_equal_link_frequencies_write_zero_stderr(self):
+        rows = {row[0]: row for row in lphvg.verify_ensemble(1, 300, 3).tables[
+            "long_distance.csv"][1]}
+        assert rows[21][2] == 0.0  # not the std(ddof=1) residue 1.2e-18
+        assert all(se == 0.0 or se > 1e-6 for _, _, se, _, _ in rows.values())
 
     def test_rho3_no_band_still_runs(self, tmp_path):
         outdir = tmp_path / "rep3"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lphvg import (
     RngConfig,
@@ -17,7 +18,22 @@ from lphvg import (
     recurrence_matrix,
     threshold_from_random,
 )
+from lphvg.cli import main
+from lphvg.evolution import _window_graphs
 from lphvg.generators import IidSpec
+from lphvg.graph import _from_edges
+
+from shapes import monotone_values, plateau_values, rhos, sawtooth_values
+
+
+def pairwise(graphs):
+    """The distance matrix entry by entry from graph_distance, the oracle."""
+    return np.array([[graph_distance(a, b) for b in graphs] for a in graphs])
+
+
+def graph_from_edges(n, edges):
+    lo, hi = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return _from_edges(n, 0, lo, hi)
 
 
 class TestWindows:
@@ -83,8 +99,55 @@ class TestDistanceMatrix:
         mat = distance_matrix(graphs)
         assert np.array_equal(mat, mat.T)
         assert np.array_equal(np.diag(mat), np.zeros(5))
-        pairwise = [[graph_distance(a, b) for b in graphs] for a in graphs]
-        assert np.array_equal(mat, np.array(pairwise))
+        assert np.array_equal(mat, pairwise(graphs))
+
+    @pytest.mark.parametrize(
+        "values", [monotone_values, plateau_values, sawtooth_values],
+        ids=["monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rho=rhos)
+    def test_window_graphs_match_pairwise(self, values, data, rho):
+        x = np.asarray(data.draw(values))
+        window_len = data.draw(st.integers(min_value=2, max_value=x.size))
+        step = data.draw(st.integers(1, max(1, window_len - 1)))
+        graphs = _window_graphs(x, rho, WindowConfig(window_len, step))
+        assert np.array_equal(distance_matrix(graphs), pairwise(graphs))
+
+    def test_graphs_without_edges(self):
+        empty = graph_from_edges(6, [])
+        assert np.array_equal(distance_matrix([empty]), np.zeros((1, 1)))
+        assert np.array_equal(distance_matrix([empty, empty]), np.zeros((2, 2)))
+        graphs = [empty, build_lphvg([3, 1, 4, 1, 5, 9], 1), empty,
+                  graph_from_edges(6, [(0, 5)])]
+        mat = distance_matrix(graphs)
+        assert np.array_equal(mat, pairwise(graphs))
+        assert mat[0, 3] == math.sqrt(2)
+
+    @pytest.mark.parametrize("codes", [63, 64, 65])
+    def test_codes_around_a_word_boundary(self, codes):
+        # 12 nodes have 66 possible edges; the graphs use exactly `codes` of them
+        pool = [(i, j) for i in range(12) for j in range(i + 1, 12)][:codes]
+        rng = np.random.default_rng(codes)
+        subsets = [pool, pool[-1:], pool[:1], []] + [
+            [e for e in pool if rng.random() < 0.5] for _ in range(6)]
+        graphs = [graph_from_edges(12, edges) for edges in subsets]
+        assert np.unique(np.concatenate([g.edge_codes for g in graphs])).size == codes
+        assert np.array_equal(distance_matrix(graphs), pairwise(graphs))
+
+    @pytest.mark.parametrize("rho, window_len", [(0, 2), (1, 2), (1, 3), (3, 4)])
+    def test_band_only_windows(self, rho, window_len, tmp_path, capsys):
+        # window_len <= rho+1: every pair of a window is a band pair, always linked
+        values = np.random.default_rng(rho).random(40)
+        graphs = _window_graphs(values, rho, WindowConfig(window_len, 1))
+        assert np.array_equal(distance_matrix(graphs), np.zeros((len(graphs),) * 2))
+        series = tmp_path / "s.csv"
+        series.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        rc = main(["evolve", "--input", str(series), "--rho", str(rho), "--window-len",
+                   str(window_len), "--step", "1", "--ensemble", "2",
+                   "--outdir", str(tmp_path / "run")])
+        assert rc == 1
+        assert "degenerate reference ensemble" in capsys.readouterr().err
 
     def test_empty_and_unequal_sizes(self):
         assert distance_matrix([]).shape == (0, 0)
@@ -111,7 +174,7 @@ class TestThreshold:
             graphs = [build_lphvg(values[a:b], 1) for a, b in make_windows(200, cfg)]
             mat = distance_matrix(graphs)
             mins.append(mat[np.triu_indices(mat.shape[0], k=1)].min())
-        assert theta == pytest.approx(min(mins))
+        assert theta == min(mins)
 
     def test_larger_ensemble_never_increases(self):
         cfg = WindowConfig(60, 20)
