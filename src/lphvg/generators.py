@@ -2,7 +2,7 @@
 chaotic maps, and chaotic flows via fixed-step 4th-order integration."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,6 @@ class FlowSpec:
     system: str
     n: int
     init: tuple[float, float, float] | None = None
-    params: dict = field(default_factory=dict)
     dt: float = 0.01
     transient: int = 10_000
     stride: int = 1
@@ -146,12 +145,6 @@ class FlowSpec:
         if self.system == "lorenz" and init == (0.0, 0.0, 0.0):
             raise ValueError("the all-zero state is a fixed point of this flow")
         object.__setattr__(self, "init", init)
-        merged = dict(LORENZ_PARAMS if self.system == "lorenz" else ENERGY_PARAMS)
-        unknown = set(self.params) - set(merged)
-        if unknown:
-            raise ValueError(f"unknown parameters for {self.system}: {sorted(unknown)}")
-        merged.update({k: float(v) for k, v in self.params.items()})
-        object.__setattr__(self, "params", merged)
 
 
 def lorenz_deriv(state: np.ndarray, p: dict) -> np.ndarray:
@@ -182,22 +175,16 @@ def rk4_step(deriv, state: np.ndarray, dt: float, params: dict) -> np.ndarray:
 
 def gen_flow(spec: FlowSpec) -> TimeSeries:
     """Integrate the flow, discard the transient, sample every `stride` steps."""
-    deriv = lorenz_deriv if spec.system == "lorenz" else energy_deriv
+    lorenz = spec.system == "lorenz"
+    deriv, params = (lorenz_deriv, LORENZ_PARAMS) if lorenz else (energy_deriv, ENERGY_PARAMS)
     state = np.array(spec.init, dtype=np.float64)
     out = np.empty(spec.n)
-    got = 0
     step = 0
-    total = spec.transient + spec.n * spec.stride
-    while got < spec.n:
-        if step >= spec.transient and (step - spec.transient) % spec.stride == 0:
-            out[got] = state[spec.component]
-            got += 1
-            if got == spec.n:
-                break
-        state = rk4_step(deriv, state, spec.dt, spec.params)
-        step += 1
-        if not np.all(np.isfinite(state)):
-            raise DivergenceError(f"flow state became non-finite at step {step}")
-        if step > total:
-            raise RuntimeError("integration bookkeeping error")
+    for t in range(spec.n):  # the transient before the first sample, `stride` steps before the rest
+        for _ in range(spec.stride if t else spec.transient):
+            state = rk4_step(deriv, state, spec.dt, params)
+            step += 1
+            if not np.all(np.isfinite(state)):
+                raise DivergenceError(f"flow state became non-finite at step {step}")
+        out[t] = state[spec.component]
     return TimeSeries(out)

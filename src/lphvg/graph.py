@@ -87,17 +87,6 @@ def _from_edges(n: int, rho: int, lo: np.ndarray, hi: np.ndarray) -> VisibilityG
     return VisibilityGraph(n=n, rho=rho, indptr=indptr, indices=keys.astype(np.int32))
 
 
-def penetrable_visible(series, i: int, j: int, rho: int) -> bool:
-    """Direct test of the link rule for one pair (0 <= i < j < n)."""
-    x = as_values(series)
-    rho = validate_rho(rho)
-    n = x.size
-    if not (0 <= i < j < n):
-        raise IndexError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    blockers = int(np.count_nonzero(x[i + 1 : j] >= min(x[i], x[j])))
-    return blockers <= rho
-
-
 def _partners(ranks: np.ndarray, count: int) -> np.ndarray:
     """partners[r, p]: the (r+1)-th index q > p with ranks[q] >= ranks[p], or n if none.
 

@@ -56,10 +56,6 @@ class DegreeDistribution:
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("negative count")
 
-    @classmethod
-    def from_graph(cls, graph: VisibilityGraph) -> "DegreeDistribution":
-        return cls(dict(Counter(graph.degrees().tolist())), graph.n)
-
     def pmf(self, k: int) -> float:
         return self.counts.get(k, 0) / self.n
 
@@ -69,7 +65,7 @@ class DegreeDistribution:
 
 
 def degree_distribution(graph: VisibilityGraph) -> DegreeDistribution:
-    return DegreeDistribution.from_graph(graph)
+    return DegreeDistribution(dict(Counter(graph.degrees().tolist())), graph.n)
 
 
 def local_clustering(graph: VisibilityGraph, node: int) -> float:
@@ -204,12 +200,6 @@ class FiniteSizeReport:
     rho: int
     e_threshold: float
 
-    def error(self, k: int) -> float:
-        for kk, e in self.per_k:
-            if kk == k:
-                return e
-        raise KeyError(k)
-
 
 def finite_size_report(
     dist: DegreeDistribution, rho: int, e_threshold: float = 1.0
@@ -221,8 +211,11 @@ def finite_size_report(
     max_deg = dist.max_degree
     per_k: list[tuple[int, float]] = []
     for k in range(k_min, max_deg + 1):
-        p_the = theory.degree_pmf(rho, k)
-        per_k.append((k, abs(dist.pmf(k) - p_the) / p_the))
+        if not dist.counts.get(k, 0):  # |0 - P| / P is 1 for any P > 0
+            per_k.append((k, 1.0))
+            continue
+        p_the = theory.degree_pmf(rho, k)  # 0.0 far out in a hub's tail
+        per_k.append((k, abs(dist.pmf(k) - p_the) / p_the if p_the else math.inf))
 
     k0 = k_min
     errors = dict(per_k)

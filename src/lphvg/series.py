@@ -18,14 +18,13 @@ def validate_rho(rho: int) -> int:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """An ordered sequence of finite real samples, optionally labelled.
+    """An ordered sequence of finite real samples.
 
     Values are stored as a read-only float64 array. Instances are immutable
     and safe to share across threads.
     """
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -39,13 +38,6 @@ class TimeSeries:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != arr.size:
-                raise ValueError(
-                    f"labels length {len(labels)} != values length {arr.size}"
-                )
-            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -82,24 +74,17 @@ def as_values(series) -> np.ndarray:
     return arr
 
 
-def _parse_cell(cell: str, line_no: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"row {line_no}: cannot parse {cell!r} as a real number") from None
-
-
 def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSeries:
     """Read one numeric column of a CSV file into a TimeSeries.
 
     `column` selects by zero-based index or, when `has_header` is set, by
-    header name. For two-column files the other column is kept as labels.
+    header name; other columns are ignored and a leading UTF-8 BOM is dropped.
     Row numbers in errors are 1-based physical line numbers.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
 
     header: list[str] | None = None
@@ -123,45 +108,38 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
         if col_idx < 0:
             raise ValueError(f"column index must be >= 0, got {col_idx}")
 
-    values: list[float] = []
-    labels: list[str] = []
-    ncols = None
-    for i in range(start, len(rows)):
-        row = rows[i]
-        line_no = i + 1
-        if not row:
-            raise ValueError(f"row {line_no}: blank line")
-        if ncols is None:
-            ncols = len(row)
-        if col_idx >= len(row):
-            raise ValueError(f"row {line_no}: only {len(row)} columns, need index {col_idx}")
-        values.append(_parse_cell(row[col_idx].strip(), line_no))
-        if len(row) == 2:
-            labels.append(row[1 - col_idx].strip())
-
-    if not values:
+    body = rows[start:]
+    if not body:
         raise ValueError(f"{path}: no data rows")
-    use_labels = ncols == 2
-    return TimeSeries(np.array(values), tuple(labels) if use_labels else None)
+    try:
+        values = np.array([float(row[col_idx].strip()) for row in body])
+    except (IndexError, ValueError):  # name the first bad row
+        for line_no, row in enumerate(body, start + 1):
+            if not row:
+                raise ValueError(f"row {line_no}: blank line") from None
+            if col_idx >= len(row):
+                raise ValueError(
+                    f"row {line_no}: only {len(row)} columns, need index {col_idx}"
+                ) from None
+            cell = row[col_idx].strip()
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(f"row {line_no}: cannot parse {cell!r} as a real number") from None
+        raise
+    return TimeSeries(values)
 
 
-def write_series(series: TimeSeries, path, value_header: str = "value") -> None:
-    """Write a series as CSV with 17-significant-digit decimals (exact round-trip)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def write_series(series: TimeSeries, path) -> None:
+    """Write a series as a `value` column of 17-significant-digit decimals (exact round-trip)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        if series.labels is not None:
-            w.writerow(["label", value_header])
-            for lab, v in zip(series.labels, series.values):
-                w.writerow([lab, format(v, ".17g")])
-        else:
-            w.writerow([value_header])
-            for v in series.values:
-                w.writerow([format(v, ".17g")])
+        w.writerow(["value"])
+        w.writerows([format(v, ".17g")] for v in series.values)
 
 
 def affine_transform(series: TimeSeries, a: float, b: float) -> TimeSeries:
     """Map every value to a*x + b; requires a > 0 (order must be preserved)."""
     if not a > 0:
         raise ValueError(f"a must be > 0, got {a}")
-    return TimeSeries(a * series.values + b, series.labels)
+    return TimeSeries(a * series.values + b)

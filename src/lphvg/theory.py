@@ -24,11 +24,12 @@ def degree_pmf(rho: int, k: int) -> float:
     """P(k) = (1/(2rho+3)) * ((2rho+2)/(2rho+3))^(k-2(rho+1)) for k >= 2rho+2.
 
     Computed as a ratio of exact integers so that rational values (1/5, 4/25,
-    ...) are correctly rounded; returns 0.0 outside the support.
+    ...) are correctly rounded; returns 0.0 outside the support, and without
+    the integer powers where the value is below 2**-1075 and so rounds to 0.0.
     """
     rho = validate_rho(rho)
     m = int(k) - 2 * (rho + 1)
-    if m < 0:
+    if m < 0 or m * math.log2((2 * rho + 3) / (2 * rho + 2)) > 1080:
         return 0.0
     return (2 * rho + 2) ** m / (2 * rho + 3) ** (m + 1)
 

@@ -151,6 +151,14 @@ class TestDiscriminate:
             assert payload["fit_k_range"] == [None, None]
 
 
+    def test_hub_input_exits_0(self, tmp_path):
+        # the hub's degree bin lies where the degree law underflows to 0.0
+        src = tmp_path / "s.csv"
+        src.write_text("\n".join(format(v, ".17g") for v in np.r_[1e9, np.arange(1, 3000)]) + "\n")
+        out = tmp_path / "v.json"
+        assert run(["discriminate", "--input", str(src), "--rho", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "deviating"
+
     def test_input_and_generator_conflict(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
         src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(0).random(600)))
@@ -440,6 +448,11 @@ def readme_commands() -> list[list[str]]:
     argvs = [shlex.split(ln) for ln in lines]
     assert argvs and all(argv[0] == "lphvg" for argv in argvs)
     return [argv[1:] for argv in argvs]
+
+
+def test_readme_library_tour():
+    section = README.read_text().split("## Library tour", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
 
 
 def test_readme_command_line_block(tmp_path, monkeypatch):

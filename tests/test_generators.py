@@ -186,13 +186,6 @@ class TestFlows:
         z = gen_flow(FlowSpec("lorenz", 50, transient=100, component=2))
         assert not np.allclose(x.values, z.values)
 
-    def test_param_override_and_validation(self):
-        ts = gen_flow(FlowSpec("lorenz", 50, transient=0, params={"c": 0.5}))
-        # subcritical c: trajectory decays toward the origin
-        assert abs(ts.values[-1]) < 1.0
-        with pytest.raises(ValueError, match="unknown parameters"):
-            FlowSpec("lorenz", 50, params={"zeta": 1.0})
-
     def test_energy_derivative_form(self):
         p = ENERGY_PARAMS
         s = np.array([2.0, 3.0, 4.0])

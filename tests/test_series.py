@@ -11,15 +11,45 @@ def test_load_single_column(tmp_path):
     p.write_text("v\n1.0\n2.0\n3.0\n")
     ts = load_series(p, column="v", has_header=True)
     assert list(ts.values) == [1.0, 2.0, 3.0]
-    assert ts.labels is None
 
 
-def test_load_two_columns_keeps_labels(tmp_path):
+def test_load_two_columns_by_column(tmp_path):
     p = tmp_path / "s.csv"
-    p.write_text("date,value\n2020-01-01,1.5\n2020-01-02,2.5\n")
-    ts = load_series(p, column="value", has_header=True)
-    assert list(ts.values) == [1.5, 2.5]
-    assert ts.labels == ("2020-01-01", "2020-01-02")
+    p.write_text('date,value\n2020-01-01,1.5\n"2020,01,02",2.5\n')
+    assert list(load_series(p, column="value", has_header=True).values) == [1.5, 2.5]
+    assert list(load_series(p, column=1, has_header=True).values) == [1.5, 2.5]
+    with pytest.raises(ValueError, match="row 2: cannot parse '2020-01-01'"):
+        load_series(p, column=0, has_header=True)
+
+
+def test_load_mixed_column_counts(tmp_path):
+    # rows need only the selected column; the others may come and go
+    p = tmp_path / "s.csv"
+    p.write_text("1.5,10\n2.5\n3.5,30,c\n")
+    assert list(load_series(p).values) == [1.5, 2.5, 3.5]
+    with pytest.raises(ValueError, match="row 2: only 1 columns, need index 1"):
+        load_series(p, column=1)
+
+
+@pytest.mark.parametrize("has_header", [True, False])
+def test_load_utf8_bom(tmp_path, has_header):
+    # spreadsheet "CSV UTF-8" exports start with a byte order mark
+    p = tmp_path / "s.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + (b"value\n" if has_header else b"") + b"1.5\n2.5\n")
+    column = "value" if has_header else 0
+    assert list(load_series(p, column=column, has_header=has_header).values) == [1.5, 2.5]
+
+
+def test_first_error_in_row_order(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("1.0,x\nozone,y\n\n4.0\n")
+    with pytest.raises(ValueError, match="row 2: cannot parse 'ozone'"):
+        load_series(p)
+    with pytest.raises(ValueError, match="row 1: cannot parse 'x'"):
+        load_series(p, column=1)
+    p.write_text("1.0,x\n\nozone,y\n")
+    with pytest.raises(ValueError, match="row 2: blank line"):
+        load_series(p)
 
 
 def test_load_by_index_without_header(tmp_path):
@@ -80,15 +110,6 @@ def test_roundtrip_exact(tmp_path):
     assert np.array_equal(back.values, ts.values)
 
 
-def test_roundtrip_with_labels(tmp_path):
-    ts = TimeSeries([1.25, 2.5], labels=("a", "b"))
-    p = tmp_path / "rt.csv"
-    write_series(ts, p)
-    back = load_series(p, column="value", has_header=True)
-    assert np.array_equal(back.values, ts.values)
-    assert back.labels == ts.labels
-
-
 @pytest.mark.parametrize(
     "values,a,b,expected",
     [
@@ -113,11 +134,6 @@ def test_timeseries_rejects_nonfinite():
         TimeSeries([1.0, float("nan"), 2.0])
     with pytest.raises(ValueError):
         TimeSeries([float("inf")])
-
-
-def test_timeseries_label_length_mismatch():
-    with pytest.raises(ValueError):
-        TimeSeries([1.0, 2.0], labels=("only",))
 
 
 def test_timeseries_values_read_only():

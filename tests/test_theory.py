@@ -31,6 +31,17 @@ class TestDegreePmf:
         assert degree_pmf(1, 3) == 0.0
         assert degree_pmf(2, 5) == 0.0
 
+    @pytest.mark.parametrize("rho", [0, 1, 2, 11])
+    def test_underflow_cut(self, rho):
+        # the first m = k - 2(rho+1) that skips the integer powers, and its last nonzero value
+        exact = lambda m: (2 * rho + 2) ** m / (2 * rho + 3) ** (m + 1)  # noqa: E731
+        cut = math.floor(1080 / math.log2((2 * rho + 3) / (2 * rho + 2))) + 1
+        last = next(m for m in range(cut, 0, -1) if exact(m) > 0.0)
+        for m in range(last - 2, cut + 2):
+            assert degree_pmf(rho, 2 * (rho + 1) + m) == exact(m)
+        assert degree_pmf(rho, 2 * (rho + 1) + last) > 0.0
+        assert degree_pmf(rho, 10**9) == 0.0
+
     @pytest.mark.parametrize("rho", range(6))
     def test_sums_to_one(self, rho):
         total = 0.0
