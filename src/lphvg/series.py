@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,7 +80,8 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
 
     `column` selects by zero-based index or, when `has_header` is set, by
     header name; other columns are ignored and a leading UTF-8 BOM is dropped.
-    Row numbers in errors are 1-based physical line numbers.
+    Row numbers in errors are 1-based physical line numbers; a record whose
+    quoted field spans lines is named by its last line.
     """
     path = Path(path)
     if not path.exists():
@@ -113,19 +115,24 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
         raise ValueError(f"{path}: no data rows")
     try:
         values = np.array([float(row[col_idx].strip()) for row in body])
-    except (IndexError, ValueError):  # name the first bad row
-        for line_no, row in enumerate(body, start + 1):
-            if not row:
-                raise ValueError(f"row {line_no}: blank line") from None
-            if col_idx >= len(row):
-                raise ValueError(
-                    f"row {line_no}: only {len(row)} columns, need index {col_idx}"
-                ) from None
-            cell = row[col_idx].strip()
-            try:
-                float(cell)
-            except ValueError:
-                raise ValueError(f"row {line_no}: cannot parse {cell!r} as a real number") from None
+    except (IndexError, ValueError):  # name the first bad row by its last physical line
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for row in itertools.islice(reader, start, None):
+                line_no = reader.line_num
+                if not row:
+                    raise ValueError(f"row {line_no}: blank line") from None
+                if col_idx >= len(row):
+                    raise ValueError(
+                        f"row {line_no}: only {len(row)} columns, need index {col_idx}"
+                    ) from None
+                cell = row[col_idx].strip()
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"row {line_no}: cannot parse {cell!r} as a real number"
+                    ) from None
         raise
     return TimeSeries(values)
 

@@ -18,8 +18,9 @@ from lphvg import (
     recurrence_matrix,
     threshold_from_random,
 )
+import lphvg.evolution
 from lphvg.cli import main
-from lphvg.evolution import _window_graphs
+from lphvg.evolution import _code_distances, _window_codes, _window_graphs
 from lphvg.generators import IidSpec
 from lphvg.graph import _from_edges
 
@@ -29,6 +30,16 @@ from shapes import monotone_values, plateau_values, rhos, sawtooth_values
 def pairwise(graphs):
     """The distance matrix entry by entry from graph_distance, the oracle."""
     return np.array([[graph_distance(a, b) for b in graphs] for a in graphs])
+
+
+def member_threshold_by_window_graphs(cfg, series_len, rho, rng, ensemble):
+    """The reference threshold through CSR window graphs and distance_matrix."""
+    best = math.inf
+    for member in range(ensemble):
+        values = rng.generator(0x7468, member).random(series_len)
+        mat = distance_matrix(_window_graphs(values, rho, cfg))
+        best = min(best, mat[np.triu_indices(mat.shape[0], k=1)].min())
+    return best
 
 
 def graph_from_edges(n, edges):
@@ -114,6 +125,34 @@ class TestDistanceMatrix:
         graphs = _window_graphs(x, rho, WindowConfig(window_len, step))
         assert np.array_equal(distance_matrix(graphs), pairwise(graphs))
 
+    @pytest.mark.parametrize(
+        "values", [monotone_values, plateau_values, sawtooth_values],
+        ids=["monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rho=rhos)
+    def test_window_codes_match_pairwise(self, values, data, rho):
+        x = np.asarray(data.draw(values))
+        window_len = data.draw(st.integers(min_value=2, max_value=x.size))
+        step = data.draw(st.integers(1, max(1, window_len - 1)))
+        cfg = WindowConfig(window_len, step)
+        codes = _window_codes(build_lphvg(x, rho), make_windows(x.size, cfg))
+        graphs = _window_graphs(x, rho, cfg)
+        assert all(np.array_equal(c, g.edge_codes) for c, g in zip(codes, graphs, strict=True))
+        # the window's own code space takes either column rule; a wider one forces np.unique
+        total = sum(c.size for c in codes)
+        for space in (window_len**2, window_len**2 + 4 * total):
+            assert np.array_equal(_code_distances(codes, space), pairwise(graphs))
+
+    @pytest.mark.parametrize("window_len, step, presence", [(10, 1, True), (60, 40, False)])
+    def test_both_column_rules(self, window_len, step, presence):
+        x = np.random.default_rng(window_len).random(100)
+        cfg = WindowConfig(window_len, step)
+        codes = _window_codes(build_lphvg(x, 1), make_windows(x.size, cfg))
+        assert (window_len**2 <= 4 * sum(c.size for c in codes)) == presence
+        assert np.array_equal(_code_distances(codes, window_len**2),
+                              pairwise(_window_graphs(x, 1, cfg)))
+
     def test_graphs_without_edges(self):
         empty = graph_from_edges(6, [])
         assert np.array_equal(distance_matrix([empty]), np.zeros((1, 1)))
@@ -175,6 +214,32 @@ class TestThreshold:
             mat = distance_matrix(graphs)
             mins.append(mat[np.triu_indices(mat.shape[0], k=1)].min())
         assert theta == min(mins)
+
+    @pytest.mark.parametrize("rho", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_equals_window_graph_pipeline(self, rho, seed):
+        cfg = WindowConfig(60, 20)
+        theta = threshold_from_random(cfg, 200, rho, RngConfig(seed), ensemble=3)
+        assert theta == member_threshold_by_window_graphs(cfg, 200, rho, RngConfig(seed), 3)
+
+    def test_bad_reference_refused_before_any_build(self, monkeypatch, tmp_path, capsys):
+        def no_build(*args):
+            raise AssertionError("built before the window count was checked")
+
+        monkeypatch.setattr(lphvg.evolution, "build_lphvg", no_build)
+        cfg = WindowConfig(60, 50)  # a series of 100 holds one window
+        with pytest.raises(ValueError, match="need at least two windows"):
+            threshold_from_random(cfg, 100, 1, RngConfig(0))
+        with pytest.raises(ValueError, match="need at least two windows"):
+            evolve(np.arange(100.0), 1, cfg, RngConfig(0))
+        with pytest.raises(ValueError, match="ensemble must be >= 1"):
+            evolve(np.arange(200.0), 1, cfg, RngConfig(0), ensemble=0)
+        series = tmp_path / "s.csv"
+        series.write_text("".join(f"{v}\n" for v in range(100)))
+        rc = main(["evolve", "--input", str(series), "--rho", "1", "--window-len", "60",
+                   "--step", "50", "--outdir", str(tmp_path / "run")])
+        assert rc == 1
+        assert "need at least two windows to form a reference distance" in capsys.readouterr().err
 
     def test_larger_ensemble_never_increases(self):
         cfg = WindowConfig(60, 20)

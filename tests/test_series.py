@@ -73,6 +73,14 @@ def test_bad_cell_names_row(tmp_path):
         load_series(p, column="v", has_header=True)
 
 
+def test_bad_cell_names_its_physical_line(tmp_path):
+    # the first record's quoted field spans lines 1 and 2, so `bad` is on line 3
+    p = tmp_path / "s.csv"
+    p.write_text('1.0,"multi\nline"\nbad\n', newline="")
+    with pytest.raises(ValueError, match="row 3: cannot parse 'bad'"):
+        load_series(p)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_series(tmp_path / "nope.csv")
