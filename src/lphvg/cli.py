@@ -2,8 +2,9 @@
 
 Every subcommand validates its inputs, writes its artifacts atomically, and
 drops a run manifest capturing the full configuration so a run can be
-replayed byte-for-byte. Exit codes: 0 success, 1 validation error, 2 runtime
-or numeric failure (and, for verify, 1 when a threshold check fails).
+replayed byte-for-byte. Exit codes: 0 success, 1 validation error or unusable
+path, 2 runtime or numeric failure (and, for verify, 1 when a threshold check
+fails).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import __version__
 from .evolution import WindowConfig, evolve
 from .generators import (
+    FLOW_DEFAULT_INIT,
     FLOW_SYSTEMS,
     IID_FAMILIES,
     FlowSpec,
@@ -140,8 +142,6 @@ def _generate_series(args) -> TimeSeries:
     if args.init is not None:
         init = tuple(float(v) for v in args.init.split(","))
     else:
-        from .generators import FLOW_DEFAULT_INIT
-
         base = np.array(FLOW_DEFAULT_INIT[args.system])
         init = tuple(base * (1.0 + 0.02 * (g.random(3) - 0.5)))
     spec = FlowSpec(
@@ -339,7 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, FileNotFoundError) as exc:
+    except (CliError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, PermissionError) as exc:  # other OSErrors (a full disk) exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numeric/runtime failures

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import VisibilityGraph, build_lphvg
+from .graph import VisibilityGraph, _from_edges, build_lphvg
 from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
 from .series import RngConfig, as_values, validate_rho
 
@@ -89,20 +89,6 @@ def _code_distances(codes: list[np.ndarray], space: int) -> np.ndarray:
     for a in range(sizes.size):
         common[a, a:] = common[a:, a] = np.bitwise_count(words[a] & words[a:]).sum(axis=1)
     return np.sqrt(2.0 * (sizes[:, None] + sizes[None, :] - 2 * common))
-
-
-def _window_graphs(values: np.ndarray, rho: int, cfg: WindowConfig) -> list[VisibilityGraph]:
-    """Each window's graph, cut from one build of the whole series: a link
-    depends only on the values between its endpoints."""
-    whole = build_lphvg(values, rho)
-    graphs = []
-    for a, b in make_windows(values.size, cfg):
-        ptr = whole.indptr[a : b + 1]
-        idx = whole.indices[ptr[0] : ptr[-1]]
-        keep = (idx >= a) & (idx < b)
-        indptr = np.concatenate([[0], np.cumsum(keep)])[ptr - ptr[0]]
-        graphs.append(VisibilityGraph(b - a, rho, indptr, (idx[keep] - a).astype(np.int32)))
-    return graphs
 
 
 def _window_codes(whole: VisibilityGraph, windows: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -206,7 +192,9 @@ def evolve(
     values = as_values(series)
     rho = validate_rho(rho)
     windows = _reference_windows(values.size, cfg, ensemble)
-    graphs = _window_graphs(values, rho, cfg)
+    L = cfg.window_len
+    codes = _window_codes(build_lphvg(values, rho), windows)
+    graphs = (_from_edges(L, rho, *np.divmod(c, L)) for c in codes)
     per_window = tuple(
         WindowMetrics(
             start=w[0],
@@ -217,7 +205,7 @@ def evolve(
         )
         for w, g in zip(windows, graphs)
     )
-    dist = distance_matrix(graphs)
+    dist = _code_distances(codes, L * L)
     theta = threshold_from_random(cfg, values.size, rho, rng, ensemble)
     gamma = correlation_index(dist, theta)
     rec = recurrence_matrix(dist, theta)

@@ -125,7 +125,7 @@ def build_lphvg(series, rho: int) -> VisibilityGraph:
     and its left partners the first rho+1 earlier such indices, kept only
     when strictly higher so that a tied pair is emitted once. A graph thus
     has at most 2(rho+1)n edges. The search runs on int32 value ranks (ties
-    share a rank) and costs O((rho+1) n log n) for any input shape.
+    share a rank) and costs O(min(rho+1, n) n log n) for any input shape.
     """
     x = as_values(series)
     rho = validate_rho(rho)
@@ -133,8 +133,9 @@ def build_lphvg(series, rho: int) -> VisibilityGraph:
     if n < 2:
         raise ValueError(f"series must have at least 2 points, got {n}")
     ranks = np.unique(x, return_inverse=True)[1].astype(np.int32)
-    right = _partners(ranks, rho + 1)
-    left = n - 1 - _partners(ranks[::-1], rho + 1)[:, ::-1]  # -1 if none
+    rounds = min(rho + 1, n - 1)  # no node has more than n-1 partners on a side
+    right = _partners(ranks, rounds)
+    left = n - 1 - _partners(ranks[::-1], rounds)[:, ::-1]  # -1 if none
     nodes = np.broadcast_to(np.arange(n, dtype=np.int32), right.shape)
     up = right < n
     down = (left >= 0) & (ranks[left] > ranks)

@@ -36,6 +36,9 @@ VERDICT_DEVIATING = "deviating"
 
 DISCRIMINATE_SOFT_FLOOR = 500
 VERIFY_MAX_SEP = 30  # separations whose link frequency verify_ensemble checks
+FINITE_SIZE_E_THRESHOLD = 1.0  # the cutoff k0 is the first bin whose relative error exceeds it
+TAIL_MIN_COUNT = 5  # nodes a degree bin needs to enter the tail fit
+COVERAGE_TOL = 1e-12  # rounding slack at the clustering envelope's edges
 
 
 class InsufficientBinsError(ValueError):
@@ -198,12 +201,9 @@ class FiniteSizeReport:
     me_sum: float
     k0: int
     rho: int
-    e_threshold: float
 
 
-def finite_size_report(
-    dist: DegreeDistribution, rho: int, e_threshold: float = 1.0
-) -> FiniteSizeReport:
+def finite_size_report(dist: DegreeDistribution, rho: int) -> FiniteSizeReport:
     rho = validate_rho(rho)
     if not dist.counts:
         raise ValueError("empty distribution")
@@ -219,7 +219,7 @@ def finite_size_report(
 
     k0 = k_min
     errors = dict(per_k)
-    while dist.counts.get(k0, 0) > 0 and errors.get(k0, math.inf) <= e_threshold:
+    while dist.counts.get(k0, 0) > 0 and errors.get(k0, math.inf) <= FINITE_SIZE_E_THRESHOLD:
         k0 += 1
 
     pre_cutoff = [e for k, e in per_k if k < k0]
@@ -231,7 +231,6 @@ def finite_size_report(
         me_sum=me_sum,
         k0=k0,
         rho=rho,
-        e_threshold=e_threshold,
     )
 
 
@@ -257,34 +256,25 @@ def _linear_fit(x, y):
     return ssxym / ssxm, np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)), r
 
 
-def fit_tail(
-    dist: DegreeDistribution,
-    rho: int,
-    k_hi: int | None = None,
-    min_count: int = 5,
-) -> TailFit:
+def fit_tail(dist: DegreeDistribution, rho: int) -> TailFit:
     """Estimate the exponential decay rate of the degree distribution tail.
 
-    Fits bins k in [2(rho+1), k_hi] holding at least `min_count` nodes; k_hi
-    defaults to the finite-size cutoff k0. When fewer than four bins qualify
-    under the default cap (heavily deviating series), the range extends to
-    every qualifying bin and the fit is flagged range_extended.
+    Fits bins k in [2(rho+1), k0] holding at least TAIL_MIN_COUNT nodes, k0
+    being the finite-size cutoff. When fewer than four bins qualify under
+    that cap (heavily deviating series), the range extends to every
+    qualifying bin and the fit is flagged range_extended.
     """
     rho = validate_rho(rho)
     k_min = 2 * (rho + 1)
-    candidates = sorted(k for k, c in dist.counts.items() if k >= k_min and c >= min_count)
-    extended = False
-    if k_hi is None:
-        cutoff = finite_size_report(dist, rho).k0
-        ks = [k for k in candidates if k <= cutoff]
-        if len(ks) < 4:
-            ks = candidates
-            extended = True
-    else:
-        ks = [k for k in candidates if k <= k_hi]
+    candidates = sorted(k for k, c in dist.counts.items() if k >= k_min and c >= TAIL_MIN_COUNT)
+    cutoff = finite_size_report(dist, rho).k0
+    ks = [k for k in candidates if k <= cutoff]
+    extended = len(ks) < 4
+    if extended:
+        ks = candidates
     if len(ks) < 4:
         raise InsufficientBinsError(
-            f"tail fit needs >= 4 bins with count >= {min_count}, found {len(ks)}"
+            f"tail fit needs >= 4 bins with count >= {TAIL_MIN_COUNT}, found {len(ks)}"
         )
     slope, stderr, r = _linear_fit(ks, [math.log(dist.pmf(k)) for k in ks])
     return TailFit(
@@ -334,7 +324,7 @@ class CoverageReport:
     above_max: int
 
 
-def clustering_coverage(graph: VisibilityGraph, tol: float = 1e-12) -> CoverageReport:
+def clustering_coverage(graph: VisibilityGraph) -> CoverageReport:
     """Fraction of interior nodes whose clustering lies inside the envelope.
 
     Uses the extrapolated maximum below its stated domain; rho > 2 evaluates
@@ -350,8 +340,8 @@ def clustering_coverage(graph: VisibilityGraph, tol: float = 1e-12) -> CoverageR
     unvalidated = rho > theory.CLUSTERING_RHO_MAX
     lo = np.array([theory.clustering_min(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
     hi = np.array([theory.clustering_max(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
-    below = c < lo[inverse] - tol
-    above = ~below & (c > hi[inverse] + tol)
+    below = c < lo[inverse] - COVERAGE_TOL
+    above = ~below & (c > hi[inverse] + COVERAGE_TOL)
     n_below, n_above = int(below.sum()), int(above.sum())
     return CoverageReport(
         fraction=(len(interior) - n_below - n_above) / len(interior),
@@ -527,11 +517,11 @@ def verify_ensemble(
     # simultaneous check over ~30 separations with few-seed (t-distributed)
     # standard errors: use a family-wise 0.1% bound so a pass/fail verdict is
     # reproducible without seed luck; genuine deviations sit far outside it
-    from scipy.special import stdtrit  # the t quantile, as scipy.stats.t.ppf computes it
-
     n_checked = max(1, max_sep - (rho + 1))
-    se_factor = math.inf
+    se_factor = math.inf  # one seed gives no standard error, so it is never read
     if seeds > 1:
+        from scipy.special import stdtrit  # the t quantile, as scipy.stats.t.ppf computes it
+
         se_factor = max(3.0, float(stdtrit(seeds - 1, 1.0 - 0.0005 / n_checked)))
     freq = np.vstack(freq_rows)
     long_rows = []
@@ -560,7 +550,7 @@ def verify_ensemble(
         "finite_size.csv": (["k", "relative_error"], list(fsr.per_k)),
         "finite_size_summary.csv": (
             ["me", "me_sum", "k0", "e_threshold"],
-            [(fsr.me, fsr.me_sum, fsr.k0, fsr.e_threshold)],
+            [(fsr.me, fsr.me_sum, fsr.k0, FINITE_SIZE_E_THRESHOLD)],
         ),
         "coverage.csv": (["seed", "coverage"], list(enumerate(coverages))),
         "long_distance.csv": (

@@ -194,7 +194,9 @@ def test_discriminate_build_and_verify_skip_scipy_sparse_and_stats(tmp_path):
 assert main(["discriminate", "--family", "uniform", "--n", "600", "--rho", "1",
              "--out", {str(tmp_path / "v.json")!r}]) == 0
 assert main(["build", "--input", {str(src)!r}, "--format", "edges", "--rho", "1",
-             "--out", {str(tmp_path / "g.txt")!r}]) == 0"""
+             "--out", {str(tmp_path / "g.txt")!r}]) == 0
+assert main(["verify", "--rho", "1", "--n", "600", "--seeds", "1",
+             "--outdir", {str(tmp_path / "one")!r}]) in (0, 1)"""
     assert scipy_modules_after(code) == []
     code += f"""
 main(["verify", "--rho", "1", "--n", "600", "--seeds", "3", "--outdir", {str(tmp_path)!r}])"""
@@ -397,6 +399,21 @@ class TestParsing:
 
     def test_missing_subcommand(self):
         assert run([]) == 1
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["build", "--input", "{dir}", "--rho", "0", "--out", "{tmp}/g.txt"], "Is a directory"),
+        (["build", "--input", "{src}", "--rho", "0", "--out", "{dir}"], "Is a directory"),
+        (["build", "--input", "{src}", "--rho", "0", "--out", "{src}/x"], "File exists"),
+        (["replay", "--manifest", "{dir}", "--outdir", "{tmp}/o"], "Is a directory"),
+    ], ids=["input-dir", "out-dir", "out-under-file", "manifest-dir"])
+    def test_unusable_path_exits_1(self, tmp_path, capsys, argv, reason):
+        (tmp_path / "d").mkdir()
+        src = tmp_path / "s.csv"
+        src.write_text("1\n2\n3\n")
+        rc = run([arg.format(tmp=tmp_path, dir=tmp_path / "d", src=src) for arg in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
 
     def test_numeric_failure_exits_2(self, tmp_path, capsys):
         # a divergent orbit is a runtime failure, not a validation error

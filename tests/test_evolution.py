@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lphvg import (
     RngConfig,
@@ -15,12 +15,13 @@ from lphvg import (
     gen_logistic,
     graph_distance,
     make_windows,
+    mean_degree_empirical,
     recurrence_matrix,
     threshold_from_random,
 )
 import lphvg.evolution
 from lphvg.cli import main
-from lphvg.evolution import _code_distances, _window_codes, _window_graphs
+from lphvg.evolution import _code_distances, _window_codes
 from lphvg.generators import IidSpec
 from lphvg.graph import _from_edges
 
@@ -32,12 +33,17 @@ def pairwise(graphs):
     return np.array([[graph_distance(a, b) for b in graphs] for a in graphs])
 
 
+def window_builds(x, rho, cfg):
+    """Each window's graph built on its own: shares no cut code with the library."""
+    return [build_lphvg(x[a:b], rho) for a, b in make_windows(x.size, cfg)]
+
+
 def member_threshold_by_window_graphs(cfg, series_len, rho, rng, ensemble):
-    """The reference threshold through CSR window graphs and distance_matrix."""
+    """The reference threshold through per-window builds and distance_matrix."""
     best = math.inf
     for member in range(ensemble):
         values = rng.generator(0x7468, member).random(series_len)
-        mat = distance_matrix(_window_graphs(values, rho, cfg))
+        mat = distance_matrix(window_builds(values, rho, cfg))
         best = min(best, mat[np.triu_indices(mat.shape[0], k=1)].min())
     return best
 
@@ -122,7 +128,7 @@ class TestDistanceMatrix:
         x = np.asarray(data.draw(values))
         window_len = data.draw(st.integers(min_value=2, max_value=x.size))
         step = data.draw(st.integers(1, max(1, window_len - 1)))
-        graphs = _window_graphs(x, rho, WindowConfig(window_len, step))
+        graphs = window_builds(x, rho, WindowConfig(window_len, step))
         assert np.array_equal(distance_matrix(graphs), pairwise(graphs))
 
     @pytest.mark.parametrize(
@@ -137,7 +143,7 @@ class TestDistanceMatrix:
         step = data.draw(st.integers(1, max(1, window_len - 1)))
         cfg = WindowConfig(window_len, step)
         codes = _window_codes(build_lphvg(x, rho), make_windows(x.size, cfg))
-        graphs = _window_graphs(x, rho, cfg)
+        graphs = window_builds(x, rho, cfg)
         assert all(np.array_equal(c, g.edge_codes) for c, g in zip(codes, graphs, strict=True))
         # the window's own code space takes either column rule; a wider one forces np.unique
         total = sum(c.size for c in codes)
@@ -151,7 +157,7 @@ class TestDistanceMatrix:
         codes = _window_codes(build_lphvg(x, 1), make_windows(x.size, cfg))
         assert (window_len**2 <= 4 * sum(c.size for c in codes)) == presence
         assert np.array_equal(_code_distances(codes, window_len**2),
-                              pairwise(_window_graphs(x, 1, cfg)))
+                              pairwise(window_builds(x, 1, cfg)))
 
     def test_graphs_without_edges(self):
         empty = graph_from_edges(6, [])
@@ -178,7 +184,7 @@ class TestDistanceMatrix:
     def test_band_only_windows(self, rho, window_len, tmp_path, capsys):
         # window_len <= rho+1: every pair of a window is a band pair, always linked
         values = np.random.default_rng(rho).random(40)
-        graphs = _window_graphs(values, rho, WindowConfig(window_len, 1))
+        graphs = window_builds(values, rho, WindowConfig(window_len, 1))
         assert np.array_equal(distance_matrix(graphs), np.zeros((len(graphs),) * 2))
         series = tmp_path / "s.csv"
         series.write_text("".join(f"{v!r}\n" for v in values.tolist()))
@@ -278,6 +284,32 @@ class TestPointwiseMaps:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize(
+        "values", [monotone_values, plateau_values, sawtooth_values],
+        ids=["monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rho=rhos)
+    def test_window_graphs_are_per_window_builds(self, values, data, rho):
+        x = np.asarray(data.draw(values))
+        assume(x.size >= 3)  # two windows at least
+        window_len = data.draw(st.integers(2, x.size - 1))
+        cfg = WindowConfig(window_len, data.draw(st.integers(1, min(window_len - 1,
+                                                                     x.size - window_len))))
+        seen = []
+
+        def record(g):
+            seen.append(g)
+            return mean_degree_empirical(g)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lphvg.evolution, "mean_degree_empirical", record)
+            mp.setattr(lphvg.evolution, "threshold_from_random", lambda *args: 1.0)
+            res = evolve(x, rho, cfg, RngConfig(0), ensemble=1)
+        builds = window_builds(x, rho, cfg)
+        assert seen == builds
+        assert np.array_equal(res.distances, pairwise(builds))
+
     def test_periodic_in_step_gives_identical_windows(self):
         # series period == step, so every window holds the same sample pattern
         rng = RngConfig(9)

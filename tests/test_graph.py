@@ -7,16 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 import lphvg.graph
 from lphvg import (
     TimeSeries,
-    WindowConfig,
     affine_transform,
     build_lphvg,
     build_lphvg_naive,
-    make_windows,
     mean_path_length,
     write_adjacency_csv,
     write_edge_list,
 )
-from lphvg.evolution import _window_graphs
 from oracles import (
     adjacency_reference,
     edge_list_reference,
@@ -164,10 +161,23 @@ class TestBuilderShapes:
         assert g == build_lphvg_naive(x, rho)
         assert edge_set(g) == lphvg_reference_edges(x, rho)
         assert mean_path_length(g) == path_length_reference(g)
-        window_len = data.draw(st.integers(min_value=2, max_value=x.size))
-        cfg = WindowConfig(window_len, data.draw(st.integers(1, max(1, window_len - 1))))
-        windows = [build_lphvg(x[a:b], rho) for a, b in make_windows(x.size, cfg)]
-        assert _window_graphs(x, rho, cfg) == windows
+
+    @pytest.mark.parametrize("rho", [28, 29, 300])  # n-2, n-1 and 10n at n = 30
+    def test_rho_beyond_the_series(self, rho):
+        rng = np.random.default_rng(rho)
+        for x in (rng.integers(0, 5, 30).astype(float), rng.random(30), np.arange(30.0),
+                  np.arange(30.0)[::-1]):
+            g = build_lphvg(x, rho)
+            assert g == build_lphvg_naive(x, rho)
+            assert g.rho == rho
+
+    def test_large_rho_build_is_bounded(self):
+        # no node has more than n-1 partners on a side, so rho beyond n costs nothing more
+        x = np.random.default_rng(5).random(50)
+        t0 = time.perf_counter()
+        g = build_lphvg(x, 10**5)
+        assert time.perf_counter() - t0 < 0.5
+        assert g.edge_count == 50 * 49 // 2
 
     def test_decreasing_build_is_not_quadratic(self):
         x = np.arange(20000, 0, -1, dtype=float)

@@ -376,12 +376,6 @@ class TestFitTail:
             slope, stderr, r = _linear_fit(ks, y)
             assert same(slope, ref.slope) and same(stderr, ref.stderr) and same(r, ref.rvalue)
 
-    def test_explicit_k_hi(self):
-        counts = {k: 4 ** (k - 4) * 5 ** (10 - k) for k in range(4, 11)}
-        dist = DegreeDistribution(counts, sum(counts.values()))
-        fit = fit_tail(dist, 1, k_hi=8)
-        assert fit.k_range == (4, 8)
-
 
 class TestChi2:
     def test_exact_distribution_is_tiny(self):
