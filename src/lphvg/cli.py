@@ -31,7 +31,7 @@ from .generators import (
     gen_logistic,
     gen_periodic,
 )
-from .graph import build_lphvg, write_adjacency_csv, write_edge_list
+from .graph import build_lphvg, check_adjacency_export, write_adjacency_csv, write_edge_list
 from .metrics import discriminate, verify_ensemble
 from .series import RngConfig, TimeSeries, load_series, write_series
 
@@ -169,7 +169,10 @@ def _load_input(args) -> TimeSeries:
 
 
 def cmd_build(args) -> int:
-    graph = build_lphvg(_load_input(args), args.rho)
+    series = _load_input(args)
+    if args.format == "matrix":  # refuse before the build and before --out's directory exists
+        check_adjacency_export(len(series))
+    graph = build_lphvg(series, args.rho)
     writer = write_edge_list if args.format == "edges" else write_adjacency_csv
     _write_out(args, lambda p: writer(graph, p))
     print(f"built LPHVG: n={graph.n} edges={graph.edge_count} rho={graph.rho}")

@@ -73,11 +73,15 @@ def gen_periodic(period: int, n: int, rng: RngConfig) -> TimeSeries:
 def gen_logistic(n: int, x0: float = 0.3, mu: float = 4.0) -> TimeSeries:
     """Iterate x_{t+1} = mu*x_t*(1-x_t) from x0 in (0,1); no transient discarded.
 
+    mu must lie in (0, 4], where the map keeps (0, 1) inside [0, 1].
+
     x0 = 0.5 lands on the unstable fixed point chain 0.5 -> 1 -> 0 at mu=4
     and yields a degenerate constant tail; it is accepted but not useful.
     """
     if not 0 < x0 < 1:
         raise ValueError(f"x0 must lie in (0, 1), got {x0}")
+    if not 0 < mu <= 4:
+        raise ValueError(f"mu must lie in (0, 4], got {mu}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     out = np.empty(n)

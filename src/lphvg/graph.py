@@ -90,11 +90,25 @@ def _from_edges(n: int, rho: int, lo: np.ndarray, hi: np.ndarray) -> VisibilityG
 def _partners(ranks: np.ndarray, count: int) -> np.ndarray:
     """partners[r, p]: the (r+1)-th index q > p with ranks[q] >= ranks[p], or n if none.
 
-    Each round r answers "first index >= v at or after s" for every node at
-    once by descending a sparse range-maximum table, table[k][i] = the
-    maximum of ranks[i : i + 2**k]: O(n log n) per round.
+    Most partners lie a few places away, so a scan first compares every node
+    with offsets d = 1..4*count, one offset at a time, and gives each hit the
+    node's next free slot. Nodes still short of `count` partners then resume
+    past the scan, one round per partner, by descending a sparse range-maximum
+    table, table[k][i] = the maximum of ranks[i : i + 2**k]: O(n log n) per
+    round, after O(count n) for the scan.
     """
     n = ranks.size
+    partners = np.full((count, n), n, dtype=np.int32)
+    found = np.zeros(n, dtype=np.int32)  # partners found so far, per node
+    span = min(4 * count, n - 1)
+    for d in range(1, span + 1):
+        p = np.flatnonzero(ranks[d:] >= ranks[:-d])
+        p = p[found[p] < count]
+        partners[found[p], p] = p + d
+        found[p] += 1
+    p = np.flatnonzero(found[: n - 1 - span] < count)  # short, with indices left past the scan
+    if not p.size:
+        return partners
     level = np.append(ranks, np.iinfo(np.int32).max)  # a sentinel at n ends every descent
     table = [level]
     for k in range(1, n.bit_length()):
@@ -102,17 +116,16 @@ def _partners(ranks: np.ndarray, count: int) -> np.ndarray:
         level = level.copy()
         np.maximum(level[:-h], level[h:], out=level[:-h])
         table.append(level)
-    partners = np.full((count, n), n, dtype=np.int32)
-    p = np.arange(n)
-    pos = p + 1
-    for r in range(count):
+    slot, pos = found[p], p + span + 1
+    while p.size:
         v = ranks[p]
         for k in range(len(table) - 1, -1, -1):  # skip each block that holds no value >= v
             np.add(pos, 1 << k, out=pos, where=table[k][pos] < v)
         hit = pos < n
-        p, pos = p[hit], pos[hit]
-        partners[r, p] = pos
-        pos += 1
+        p, pos, slot = p[hit], pos[hit], slot[hit]
+        partners[slot, p] = pos
+        more = slot < count - 1
+        p, pos, slot = p[more], pos[more] + 1, slot[more] + 1
     return partners
 
 
@@ -190,13 +203,18 @@ def write_edge_list(graph: VisibilityGraph, path) -> None:
             a = b
 
 
-def write_adjacency_csv(graph: VisibilityGraph, path) -> None:
-    """Write the dense 0/1 adjacency matrix as CSV; refused for large graphs."""
-    if graph.n > ADJACENCY_EXPORT_MAX_NODES:
+def check_adjacency_export(n: int) -> None:
+    """Refuse a dense adjacency export of n nodes above ADJACENCY_EXPORT_MAX_NODES."""
+    if n > ADJACENCY_EXPORT_MAX_NODES:
         raise ValueError(
             f"adjacency export limited to n <= {ADJACENCY_EXPORT_MAX_NODES} "
-            f"(got n={graph.n}); use the edge-list format"
+            f"(got n={n}); use the edge-list format"
         )
+
+
+def write_adjacency_csv(graph: VisibilityGraph, path) -> None:
+    """Write the dense 0/1 adjacency matrix as CSV; refused for large graphs."""
+    check_adjacency_export(graph.n)
     buf = np.full((graph.n, 2 * graph.n), ord(","), dtype=np.uint8)
     buf[:, ::2] = ord("0")
     buf[:, -1] = ord("\n")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,26 +76,71 @@ def as_values(series) -> np.ndarray:
     return arr
 
 
+def _read_text(path: Path) -> str:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            pass
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        return "".join(fh)  # raise the error where a line-by-line read meets it
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of `text` when csv.reader would cut each at every "," alone, else None.
+
+    Plain means: no quote or NUL, one line ending throughout (LF, or CRLF as
+    `generate` writes), no empty line and no line longer than csv's field
+    size limit.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    end = "\r\n" if "\r" in text else "\n"
+    if end == "\r\n" and not text.count("\r") == text.count("\n") == text.count(end):
+        return None  # a lone CR or LF
+    lines = text.split(end)
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _loadtxt(lines: list[str], col_idx: int) -> np.ndarray | None:
+    """numpy's parse of one column of plain lines, or None unless it read every line."""
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=col_idx, comments=None,
+                            dtype=np.float64, ndmin=1)
+    except ValueError:
+        return None
+    return values if values.size == len(lines) else None
+
+
 def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSeries:
     """Read one numeric column of a CSV file into a TimeSeries.
 
     `column` selects by zero-based index or, when `has_header` is set, by
     header name; other columns are ignored and a leading UTF-8 BOM is dropped.
-    Row numbers in errors are 1-based physical line numbers; a record whose
-    quoted field spans lines is named by its last line.
+    numpy parses a plain file (`_plain_lines`); csv.reader parses any other
+    file and any plain file numpy does not read in full, and alone raises
+    parse errors. Both give each cell's `float(cell.strip())`. Row numbers in
+    errors are 1-based physical line numbers; a record whose quoted field
+    spans lines is named by its last line.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+    text = _read_text(path)
+    lines = _plain_lines(text)
+    rows = None if lines is not None else list(csv.reader(io.StringIO(text, newline="")))
+    records = rows if lines is None else lines
 
     header: list[str] | None = None
     start = 0
     if has_header:
-        if not rows:
+        if not records:
             raise ValueError(f"{path}: empty file, expected a header row")
-        header = [c.strip() for c in rows[0]]
+        header = [c.strip() for c in (rows[0] if lines is None else lines[0].split(","))]
         start = 1
 
     if isinstance(column, str) and column.lstrip("-").isdigit():
@@ -110,29 +156,32 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
         if col_idx < 0:
             raise ValueError(f"column index must be >= 0, got {col_idx}")
 
-    body = rows[start:]
-    if not body:
+    if len(records) <= start:
         raise ValueError(f"{path}: no data rows")
+    if lines is not None:
+        values = _loadtxt(lines[start:], col_idx)
+        if values is not None:
+            return TimeSeries(values)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     try:
-        values = np.array([float(row[col_idx].strip()) for row in body])
+        values = np.array([float(row[col_idx].strip()) for row in rows[start:]])
     except (IndexError, ValueError):  # name the first bad row by its last physical line
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            for row in itertools.islice(reader, start, None):
-                line_no = reader.line_num
-                if not row:
-                    raise ValueError(f"row {line_no}: blank line") from None
-                if col_idx >= len(row):
-                    raise ValueError(
-                        f"row {line_no}: only {len(row)} columns, need index {col_idx}"
-                    ) from None
-                cell = row[col_idx].strip()
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"row {line_no}: cannot parse {cell!r} as a real number"
-                    ) from None
+        reader = csv.reader(io.StringIO(text, newline=""))
+        for row in itertools.islice(reader, start, None):
+            line_no = reader.line_num
+            if not row:
+                raise ValueError(f"row {line_no}: blank line") from None
+            if col_idx >= len(row):
+                raise ValueError(
+                    f"row {line_no}: only {len(row)} columns, need index {col_idx}"
+                ) from None
+            cell = row[col_idx].strip()
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"row {line_no}: cannot parse {cell!r} as a real number"
+                ) from None
         raise
     return TimeSeries(values)
 

@@ -1,9 +1,20 @@
 """Independent reference implementations used as test oracles."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import shortest_path
+
+
+def load_series_reference(path, column: int | str = 0, has_header: bool = False) -> np.ndarray:
+    """One CSV column, cell by cell: csv.reader rows and float(cell.strip()) of each."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if isinstance(column, str):
+        column = [cell.strip() for cell in rows[0]].index(column)
+    return np.array([float(row[column].strip()) for row in rows[has_header:]], dtype=np.float64)
 
 
 def hvg_reference_edges(values) -> set[tuple[int, int]]:

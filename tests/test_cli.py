@@ -48,6 +48,14 @@ class TestGenerate:
                   "--n", "100", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_logistic_mu_outside_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run(["generate", "--system", "logistic", "--mu", "5", "--n", "10",
+                  "--out", str(out)])
+        assert rc == 1
+        assert "mu must lie in (0, 4], got 5.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_periodic_requires_period(self, tmp_path):
         rc = run(["generate", "--system", "periodic", "--n", "100",
                   "--out", str(tmp_path / "x.csv")])
@@ -81,13 +89,20 @@ class TestBuild:
                     "--format", "matrix", "--out", str(out)]) == 0
         assert out.read_text().splitlines() == ["0,1,0", "1,0,1", "0,1,0"]
 
-    def test_matrix_guard(self, tmp_path, capsys):
+    def test_matrix_guard(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built a graph the matrix format refuses")
+
+        monkeypatch.setattr("lphvg.cli.build_lphvg", no_build)
         src = tmp_path / "s.csv"
         src.write_text("\n".join(str(v) for v in range(2500)) + "\n")
+        out = tmp_path / "newdir" / "m.csv"
         rc = run(["build", "--input", str(src), "--rho", "0",
-                  "--format", "matrix", "--out", str(tmp_path / "m.csv")])
+                  "--format", "matrix", "--out", str(out)])
         assert rc == 1
-        assert "edge-list" in capsys.readouterr().err
+        assert "limited to n <= 2000 (got n=2500); use the edge-list format" in (
+            capsys.readouterr().err)
+        assert not out.parent.exists()
 
     def test_negative_column_exits_1(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
@@ -173,14 +188,18 @@ def reject_constant(token):
     raise ValueError(f"not strict JSON: {token}")
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules loaded in a fresh interpreter after running `code`."""
-    code += ("\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+def modules_after(code: str) -> list[str]:
+    """The modules loaded in a fresh interpreter after running `code`."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(lphvg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded in a fresh interpreter after running `code`."""
+    return [m for m in modules_after(code) if m.split(".")[0] == "scipy"]
 
 
 def test_import_skips_scipy_stats_and_csgraph():
@@ -198,6 +217,12 @@ assert main(["build", "--input", {str(src)!r}, "--format", "edges", "--rho", "1"
 assert main(["verify", "--rho", "1", "--n", "600", "--seeds", "1",
              "--outdir", {str(tmp_path / "one")!r}]) in (0, 1)"""
     assert scipy_modules_after(code) == []
+    # numpy's parse of a plain CSV comes with numpy: beyond what `import lphvg.cli` and
+    # argparse load, a build loads only the codec that reads its input
+    argv = ["build", "--input", str(src), "--rho", "1", "--out", str(tmp_path / "h.txt")]
+    parsed = modules_after(f"from lphvg.cli import build_parser\nbuild_parser().parse_args({argv!r})")
+    built = modules_after(f"from lphvg.cli import main\nassert main({argv!r}) == 0")
+    assert set(built) - set(parsed) == {"encodings.utf_8_sig"}
     code += f"""
 main(["verify", "--rho", "1", "--n", "600", "--seeds", "3", "--outdir", {str(tmp_path)!r}])"""
     loaded = scipy_modules_after(code)

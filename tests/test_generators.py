@@ -121,6 +121,12 @@ class TestLogistic:
         with pytest.raises(ValueError):
             gen_logistic(10, x0=1.5)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, 4.0000001, 5.0, float("nan")])
+    def test_mu_validation(self, mu):
+        # outside (0, 4] the orbit leaves [0, 1] and runs off to -inf
+        with pytest.raises(ValueError, match=r"mu must lie in \(0, 4\]"):
+            gen_logistic(10, x0=0.3, mu=mu)
+
 
 class TestHenon:
     def test_two_step_hand_iteration(self):

@@ -162,13 +162,44 @@ class TestBuilderShapes:
         assert edge_set(g) == lphvg_reference_edges(x, rho)
         assert mean_path_length(g) == path_length_reference(g)
 
-    @pytest.mark.parametrize("rho", [28, 29, 300])  # n-2, n-1 and 10n at n = 30
+    # the partner scan covers offsets 1..4(rho+1); node 3's (rho+1)-th partner sits at the
+    # scan's last offset or just past it, with the other rho partners drawn inside the scan,
+    # or all rho+1 partners lie past it, so that the table descent finds each of them
+    @pytest.mark.parametrize("rho", [0, 1, 10])
+    @pytest.mark.parametrize("past", [0, 1, None], ids=["last-scanned", "past-scan", "all-past"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["higher", "tied"])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_last_partner_at_the_scan_boundary(self, rho, past, tied, side):
+        rng = np.random.default_rng(8 * rho + 4 * (past or 2) + 2 * tied + (side == "left"))
+        span = 4 * (rho + 1)
+        if past is None:
+            offsets = span + 1 + np.sort(rng.choice(np.arange(2 * span), rho + 1, replace=False))
+        else:
+            offsets = np.append(rng.choice(np.arange(1, span + past), rho, replace=False), span + past)
+        offset = offsets.max()
+        x = rng.random(offset + 12)  # everything else lies below node 3's 5.0
+        x[3] = 5.0
+        partners = 3 + offsets
+        x[partners] = 5.0 if tied else 5.0 + rng.random(rho + 1)
+        x[3 + offset + 2] = 9.0  # a (rho+2)-th higher value, out of node 3's reach
+        if side == "left":
+            x, node, far = x[::-1].copy(), x.size - 4, x.size - 4 - offset
+        else:
+            node, far = 3, 3 + offset
+        g = build_lphvg(x, rho)
+        assert g == build_lphvg_naive(x, rho)
+        assert edge_set(g) == lphvg_reference_edges(x, rho)
+        nbrs = g.indices[g.indptr[node] : g.indptr[node + 1]]
+        assert (nbrs.min() if side == "left" else nbrs.max()) == far
+
+    @pytest.mark.parametrize("rho", [7, 28, 29, 300])  # 4(rho+1) > n-1, n-2, n-1 and 10n at n = 30
     def test_rho_beyond_the_series(self, rho):
         rng = np.random.default_rng(rho)
         for x in (rng.integers(0, 5, 30).astype(float), rng.random(30), np.arange(30.0),
                   np.arange(30.0)[::-1]):
             g = build_lphvg(x, rho)
             assert g == build_lphvg_naive(x, rho)
+            assert edge_set(g) == lphvg_reference_edges(x, rho)
             assert g.rho == rho
 
     def test_large_rho_build_is_bounded(self):

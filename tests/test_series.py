@@ -1,9 +1,14 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lphvg.series
 from lphvg import RngConfig, TimeSeries, affine_transform, load_series, write_series
+from oracles import load_series_reference
+from shapes import monotone_values, plateau_values, sawtooth_values, series_values
 
 
 def test_load_single_column(tmp_path):
@@ -116,6 +121,141 @@ def test_roundtrip_exact(tmp_path):
     write_series(ts, p)
     back = load_series(p, column="value", has_header=True)
     assert np.array_equal(back.values, ts.values)
+
+
+def load_and_trace(path, column=0, has_header=False) -> tuple[np.ndarray, bool]:
+    """load_series' values, and whether numpy's parse gave them."""
+    results = []
+    parse = lphvg.series._loadtxt
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lphvg.series, "_loadtxt", lambda *args: results.append(parse(*args)) or results[-1])
+        values = load_series(path, column=column, has_header=has_header).values
+    return values, bool(results) and results[0] is not None
+
+
+def csv_reader_error(path, **kwargs) -> str:
+    """The message load_series raises for `path` when csv.reader parses every file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lphvg.series, "_plain_lines", lambda text: None)
+        with pytest.raises(ValueError) as exc:
+            load_series(path, **kwargs)
+    return str(exc.value)
+
+
+class TestTwoParses:
+    """numpy parses plain files, csv.reader the rest; both give the reference's bytes."""
+
+    @pytest.mark.parametrize(
+        "values", [series_values, monotone_values, plateau_values, sawtooth_values],
+        ids=["floats", "monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), layout=st.sampled_from(["v", "t,v", "v,t"]), crlf=st.booleans(),
+           header=st.booleans(), bom=st.booleans(), by_name=st.booleans(),
+           fmt=st.sampled_from(["{:.17g}", "{!r}"]))
+    def test_plain_files_read_by_numpy(self, tmp_path_factory, values, data, layout, crlf,
+                                       header, bom, by_name, fmt):
+        xs = data.draw(values)
+        end = "\r\n" if crlf else "\n"
+        rows = [layout.replace("t", str(i)).replace("v", fmt.format(x)) for i, x in enumerate(xs)]
+        text = end.join(([layout.replace("v", "value")] if header else []) + rows) + end
+        p = tmp_path_factory.mktemp("plain") / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        column = "value" if header and by_name else layout.split(",").index("v")
+        values, by_numpy = load_and_trace(p, column, header)
+        assert by_numpy
+        assert values.tobytes() == load_series_reference(p, column, header).tobytes()
+
+    def test_generate_file_read_by_numpy(self, tmp_path):
+        # csv.writer ends lines with CRLF
+        p = tmp_path / "s.csv"
+        write_series(TimeSeries(np.random.default_rng(9).normal(size=300)), p)
+        assert p.read_bytes().count(b"\r\n") == 301
+        values, by_numpy = load_and_trace(p, "value", True)
+        assert by_numpy
+        assert values.tobytes() == load_series_reference(p, "value", True).tobytes()
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("0.30000000000000004\n-1.7976931348623157e+308\n2.2250738585072014e-308\n", 0),
+            ("0.1\n1.0000000000000002\n9007199254740993\n123456789012345678901234567890\n", 0),
+            ("-0\n0\n-0.0\n+0\n", 0),
+            ("1e-320\n4.9406564584124654e-324\n2.4703282292062328e-324\n", 0),
+            ("1_0\n2\n", 0),  # float() reads underscores, numpy does not: csv.reader's parse
+            ("  1.5 ,a\n\t2.5\t,b\n\u00a03.5\u2003,c\n", 0),
+            ("a,  1.5 \nb,\t2.5\t\n", 1),
+            ("1.5,10\n2.5\n3.5,30,c\n", 0),  # ragged rows
+            ("x,1.5,y\nx,2.5\n", 1),
+            ('"1.5",x\n2.5,"y,z"\n', 0),  # quoted cells
+            ('a,"1.5"\n"b,c",2.5\n', 1),
+            ('"1,2,3",4,5\n"6,7,8",9,10\n', 1),  # split at every ",", column 1 would read 2 and 7
+            ("1.5\n2.5", 0),  # no final line ending
+        ],
+    )
+    def test_cells_parse_to_the_reference_bytes(self, tmp_path, text, column, crlf):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode())
+        values, _ = load_and_trace(p, column)
+        assert values.tobytes() == load_series_reference(p, column).tobytes()
+
+    @pytest.mark.parametrize("text", ["1.5\r\n2.5\n", "1.5\n2.5\r\n", "1.5\r2.5\r", "1.5\r\n2.5\r"])
+    def test_mixed_or_lone_line_ends_go_to_csv_reader(self, tmp_path, text):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        values, by_numpy = load_and_trace(p)
+        assert not by_numpy
+        assert values.tobytes() == load_series_reference(p).tobytes()
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "text, kwargs, message",
+        [
+            ("date,value\n2020-01-01,1.5\n2020-01-02,2.5\n", {"column": 0, "has_header": True},
+             "row 2: cannot parse '2020-01-01' as a real number"),
+            ("1.5,10\n2.5\n3.5,30,c\n", {"column": 1}, "row 2: only 1 columns, need index 1"),
+            ("1.0,x\nozone,y\n4.0\n", {}, "row 2: cannot parse 'ozone' as a real number"),
+            ("1.0,x\nozone,y\n4.0\n", {"column": 1}, "row 1: cannot parse 'x' as a real number"),
+            ("v\n1.0\nozone\n", {"column": "v", "has_header": True},
+             "row 3: cannot parse 'ozone' as a real number"),
+            # an empty line is never plain; a line of spaces is, and holds one empty cell
+            ("v\n1.0\n \n3.0\n", {"column": "v", "has_header": True},
+             "row 3: cannot parse '' as a real number"),
+            ("1_0\n1__0\n", {}, "row 2: cannot parse '1__0' as a real number"),
+            ("v\n", {"column": "v", "has_header": True}, "{path}: no data rows"),
+            ("a,b\n1,2\n", {"column": "c", "has_header": True},
+             "{path}: no column named 'c' in header ['a', 'b']"),
+            ("a,1.0\nb,2.0\n", {"column": -1}, "column index must be >= 0, got -1"),
+            ("a,1.0\nb,2.0\n", {"column": "-1"}, "column index must be >= 0, got -1"),
+            ("1.0\n2.0\n", {"column": "value"}, "column selected by name 'value' requires has_header"),
+            ("1.0\ninf\n", {}, "non-finite value at index 1"),
+        ],
+    )
+    def test_plain_errors_match_csv_reader(self, tmp_path, text, kwargs, message, crlf):
+        text = text.replace("\n", "\r\n" if crlf else "\n")
+        assert lphvg.series._plain_lines(text) is not None
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            load_series(p, **kwargs)
+        assert str(exc.value) == message.format(path=p) == csv_reader_error(p, **kwargs)
+
+    def test_undecodable_byte_named_as_a_line_reader_meets_it(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"1.0\n" * 5000 + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            load_series(p)
+        with p.open(newline="", encoding="utf-8-sig") as fh, pytest.raises(UnicodeDecodeError) as ref:
+            list(csv.reader(fh))
+        assert str(exc.value) == str(ref.value)
+
+    def test_field_past_csv_limit_goes_to_csv_reader(self, tmp_path):
+        # numpy would read column 0; csv.reader refuses the long note in column 1
+        p = tmp_path / "s.csv"
+        p.write_text("1.0,note\n2.0," + "x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_series(p)
 
 
 @pytest.mark.parametrize(
