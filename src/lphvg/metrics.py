@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,7 @@ from .graph import VisibilityGraph, build_lphvg
 from .series import RngConfig, as_values, validate_rho
 
 PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
-DEFAULT_PATH_SAMPLE_PAIRS = 2000 * 1999  # ordered pairs: n <= 2000 is exact
+PATH_SAMPLE_PAIRS = 2000 * 1999  # ordered pairs: n <= 2000 is exact
 
 # Verdict thresholds, calibrated on seeded uniform/gaussian/powerlaw series of
 # n = 3000 (240 runs for the chi-square, 120 per rho for the coverage bands).
@@ -47,41 +46,30 @@ class InsufficientBinsError(ValueError):
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Exact degree histogram of a graph."""
+    """Exact degree histogram of a graph: counts[k] nodes have degree k."""
 
-    counts: dict[int, int]
+    counts: np.ndarray
     n: int
 
     def __post_init__(self):
-        total = sum(self.counts.values())
+        if self.counts.size == 0:
+            raise ValueError("empty distribution")
+        if self.counts.min() < 0:
+            raise ValueError("negative count")
+        total = int(self.counts.sum())
         if total != self.n:
             raise ValueError(f"counts sum to {total}, expected n={self.n}")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("negative count")
 
     def pmf(self, k: int) -> float:
-        return self.counts.get(k, 0) / self.n
+        return (int(self.counts[k]) if k < self.counts.size else 0) / self.n
 
     @property
     def max_degree(self) -> int:
-        return max(self.counts)
+        return int(np.flatnonzero(self.counts)[-1])
 
 
 def degree_distribution(graph: VisibilityGraph) -> DegreeDistribution:
-    return DegreeDistribution(dict(Counter(graph.degrees().tolist())), graph.n)
-
-
-def local_clustering(graph: VisibilityGraph, node: int) -> float:
-    """Triangles through `node` over C(k, 2); zero for degree < 2."""
-    if not 0 <= node < graph.n:
-        raise IndexError(f"node {node} out of range for n={graph.n}")
-    ptr, idx = graph.indptr, graph.indices
-    nb = idx[ptr[node] : ptr[node + 1]]
-    k = nb.size
-    if k < 2:
-        return 0.0
-    rows = np.concatenate([idx[ptr[u] : ptr[u + 1]] for u in nb])
-    return int(np.isin(rows, nb).sum()) / (k * (k - 1))  # 2 * triangles / (k(k-1))
+    return DegreeDistribution(np.bincount(graph.degrees()), graph.n)
 
 
 def _triangles(graph: VisibilityGraph) -> np.ndarray:
@@ -157,28 +145,22 @@ def _shortest_paths(graph: VisibilityGraph, sources: np.ndarray) -> np.ndarray:
     return shortest_path(adj, method="D", unweighted=True, directed=False, indices=sources)
 
 
-def mean_path_length(
-    graph: VisibilityGraph,
-    sample_pairs: int = DEFAULT_PATH_SAMPLE_PAIRS,
-    seed: int = 0,
-) -> float:
+def mean_path_length(graph: VisibilityGraph) -> float:
     """Average shortest-path length from a set of sources to every other node.
 
     The sources are every node (the exact mean over distinct pairs) when the
-    n(n-1) ordered pairs fit in `sample_pairs`, so n <= 2000 by default; else
-    the fewest whole 64-source words of seeded random nodes that cover
-    `sample_pairs` ordered pairs. They run as one bit-parallel BFS, or through
-    scipy if the first 64 sources probe deeper than PATH_PROBE_DEPTH.
+    n(n-1) ordered pairs fit in PATH_SAMPLE_PAIRS, so n <= 2000; else the
+    fewest whole 64-source words of random nodes (seed 0) that cover
+    PATH_SAMPLE_PAIRS ordered pairs. They run as one bit-parallel BFS, or
+    through scipy if the first 64 sources probe deeper than PATH_PROBE_DEPTH.
     """
-    if sample_pairs <= 0:
-        raise ValueError(f"sample_pairs must be positive, got {sample_pairs}")
     n = graph.n
     if graph.degrees().min() == 0:
         return math.inf  # an isolated node is unreachable
     sources = np.arange(n)
-    if n * (n - 1) > sample_pairs:
-        words = -(-sample_pairs // (64 * (n - 1)))
-        sources = np.sort(np.random.default_rng(seed).permutation(n)[: 64 * words])
+    if n * (n - 1) > PATH_SAMPLE_PAIRS:
+        words = -(-PATH_SAMPLE_PAIRS // (64 * (n - 1)))
+        sources = np.sort(np.random.default_rng(0).permutation(n)[: 64 * words])
     total = _bfs_distance_sum(graph, sources[:64], PATH_PROBE_DEPTH)
     if total is None:
         total = _shortest_paths(graph, sources).sum()
@@ -200,18 +182,14 @@ class FiniteSizeReport:
     me: float
     me_sum: float
     k0: int
-    rho: int
 
 
 def finite_size_report(dist: DegreeDistribution, rho: int) -> FiniteSizeReport:
     rho = validate_rho(rho)
-    if not dist.counts:
-        raise ValueError("empty distribution")
     k_min = 2 * (rho + 1)
-    max_deg = dist.max_degree
     per_k: list[tuple[int, float]] = []
-    for k in range(k_min, max_deg + 1):
-        if not dist.counts.get(k, 0):  # |0 - P| / P is 1 for any P > 0
+    for k in range(k_min, dist.max_degree + 1):
+        if not dist.counts[k]:  # |0 - P| / P is 1 for any P > 0
             per_k.append((k, 1.0))
             continue
         p_the = theory.degree_pmf(rho, k)  # 0.0 far out in a hub's tail
@@ -219,19 +197,13 @@ def finite_size_report(dist: DegreeDistribution, rho: int) -> FiniteSizeReport:
 
     k0 = k_min
     errors = dict(per_k)
-    while dist.counts.get(k0, 0) > 0 and errors.get(k0, math.inf) <= FINITE_SIZE_E_THRESHOLD:
-        k0 += 1
+    while errors.get(k0, math.inf) <= FINITE_SIZE_E_THRESHOLD and dist.counts[k0]:
+        k0 += 1  # errors holds only k <= max_degree, so counts[k0] is in range
 
     pre_cutoff = [e for k, e in per_k if k < k0]
     me = float(np.mean(pre_cutoff)) if pre_cutoff else math.nan
     me_sum = float(np.sum(pre_cutoff)) if pre_cutoff else math.nan
-    return FiniteSizeReport(
-        per_k=tuple(per_k),
-        me=me,
-        me_sum=me_sum,
-        k0=k0,
-        rho=rho,
-    )
+    return FiniteSizeReport(per_k=tuple(per_k), me=me, me_sum=me_sum, k0=k0)
 
 
 @dataclass(frozen=True)
@@ -242,7 +214,6 @@ class TailFit:
     stderr: float
     k_range: tuple[int, int]
     r2: float
-    n_bins: int
     range_extended: bool
 
 
@@ -266,7 +237,7 @@ def fit_tail(dist: DegreeDistribution, rho: int) -> TailFit:
     """
     rho = validate_rho(rho)
     k_min = 2 * (rho + 1)
-    candidates = sorted(k for k, c in dist.counts.items() if k >= k_min and c >= TAIL_MIN_COUNT)
+    candidates = (np.flatnonzero(dist.counts[k_min:] >= TAIL_MIN_COUNT) + k_min).tolist()
     cutoff = finite_size_report(dist, rho).k0
     ks = [k for k in candidates if k <= cutoff]
     extended = len(ks) < 4
@@ -277,78 +248,48 @@ def fit_tail(dist: DegreeDistribution, rho: int) -> TailFit:
             f"tail fit needs >= 4 bins with count >= {TAIL_MIN_COUNT}, found {len(ks)}"
         )
     slope, stderr, r = _linear_fit(ks, [math.log(dist.pmf(k)) for k in ks])
-    return TailFit(
-        lambda_hat=-float(slope),
-        stderr=float(stderr),
-        k_range=(ks[0], ks[-1]),
-        r2=float(r) ** 2,
-        n_bins=len(ks),
-        range_extended=extended,
-    )
+    return TailFit(-float(slope), float(stderr), (ks[0], ks[-1]), float(r) ** 2, extended)
 
 
-def degree_law_chi2(
-    dist: DegreeDistribution, rho: int, min_expected: float = DEGREE_CHI2_MIN_EXPECTED
-) -> tuple[float, int]:
+def degree_law_chi2(dist: DegreeDistribution, rho: int) -> tuple[float, int]:
     """Chi-square of observed bin counts against the closed-form degree law.
 
     Sums z^2 over consecutive bins from k = 2(rho+1) while the expected count
-    n * P(k) stays >= min_expected; returns (chi2, df).
+    n * P(k) stays >= DEGREE_CHI2_MIN_EXPECTED; returns (chi2, df).
     """
     rho = validate_rho(rho)
     chi2 = 0.0
-    df = 0
     k = 2 * (rho + 1)
     while True:
         p = theory.degree_pmf(rho, k)
         expected = dist.n * p
-        if expected < min_expected:
+        if expected < DEGREE_CHI2_MIN_EXPECTED:
             break
-        observed = dist.counts.get(k, 0)
+        observed = int(dist.counts[k]) if k < dist.counts.size else 0
         chi2 += (observed - expected) ** 2 / (expected * (1.0 - p))
-        df += 1
         k += 1
-    return chi2, df
+    return chi2, k - 2 * (rho + 1)  # df: one per bin summed
 
 
-def interior_nodes(graph: VisibilityGraph) -> range:
-    """Indices with a full rho+1 band on both sides."""
-    return range(graph.rho + 1, graph.n - graph.rho - 1)
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    fraction: float
-    interior_count: int
-    below_min: int
-    above_max: int
-
-
-def clustering_coverage(graph: VisibilityGraph) -> CoverageReport:
-    """Fraction of interior nodes whose clustering lies inside the envelope.
+def clustering_coverage(graph: VisibilityGraph) -> float:
+    """Fraction of interior nodes, those with a full rho+1 band on both sides,
+    whose clustering lies inside the envelope.
 
     Uses the extrapolated maximum below its stated domain; rho > 2 evaluates
     the formulas outside their stated scope (callers should treat the result
     as unvalidated there). The envelope is evaluated once per distinct degree.
     """
-    rho, interior = graph.rho, interior_nodes(graph)
-    if not interior:
+    rho = graph.rho
+    if graph.n <= 2 * (rho + 1):
         raise ValueError("graph has no interior nodes")
-    span = slice(interior.start, interior.stop)
+    span = slice(rho + 1, graph.n - rho - 1)
     c = np.asarray(_clustering(graph))[span]
     ks, inverse = np.unique(graph.degrees()[span], return_inverse=True)
     unvalidated = rho > theory.CLUSTERING_RHO_MAX
     lo = np.array([theory.clustering_min(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
     hi = np.array([theory.clustering_max(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
-    below = c < lo[inverse] - COVERAGE_TOL
-    above = ~below & (c > hi[inverse] + COVERAGE_TOL)
-    n_below, n_above = int(below.sum()), int(above.sum())
-    return CoverageReport(
-        fraction=(len(interior) - n_below - n_above) / len(interior),
-        interior_count=len(interior),
-        below_min=n_below,
-        above_max=n_above,
-    )
+    outside = (c < lo[inverse] - COVERAGE_TOL) | (c > hi[inverse] + COVERAGE_TOL)
+    return (c.size - int(outside.sum())) / c.size
 
 
 def link_frequency_by_separation(graph: VisibilityGraph, max_sep: int) -> np.ndarray:
@@ -418,7 +359,7 @@ def discriminate(series, rho: int) -> DiscriminationResult:
     try:
         fit = fit_tail(dist, rho)
     except InsufficientBinsError:  # constant or few-level input: no tail to fit
-        fit = TailFit(math.nan, math.nan, (math.nan, math.nan), math.nan, 0, True)
+        fit = TailFit(math.nan, math.nan, (math.nan, math.nan), math.nan, True)
     fsr = finite_size_report(dist, rho)
     chi2, df = degree_law_chi2(dist, rho)
     if df == 0:
@@ -426,7 +367,7 @@ def discriminate(series, rho: int) -> DiscriminationResult:
     chi2_reduced = chi2 / df
     cov = clustering_coverage(graph)
     band = COVERAGE_BANDS.get(rho)
-    in_band = None if band is None else band[0] <= cov.fraction <= band[1]
+    in_band = None if band is None else band[0] <= cov <= band[1]
 
     lam_theory = theory.decay_rate(rho)
     lam_ok = abs(fit.lambda_hat - lam_theory) <= 3.0 * fit.stderr
@@ -447,7 +388,7 @@ def discriminate(series, rho: int) -> DiscriminationResult:
         chi2_df=df,
         chi2_reduced=chi2_reduced,
         chi2_threshold=DEGREE_CHI2_THRESHOLD,
-        coverage=cov.fraction,
+        coverage=cov,
         coverage_band=band,
         coverage_in_band=in_band,
         me=fsr.me,
@@ -482,15 +423,14 @@ def verify_ensemble(
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     max_sep = min(VERIFY_MAX_SEP, n - 1)
-    pooled = Counter()
-    mean_degrees, coverages, freq_rows = [], [], []
+    degrees, mean_degrees, coverages, freq_rows = [], [], [], []
     for stream in range(seeds):
         graph = build_lphvg(gen_iid(IidSpec(family=family, n=n, rng=RngConfig(seed, stream))), rho)
-        pooled.update(graph.degrees().tolist())
+        degrees.append(graph.degrees())
         mean_degrees.append(mean_degree_empirical(graph))
-        coverages.append(clustering_coverage(graph).fraction)
+        coverages.append(clustering_coverage(graph))
         freq_rows.append(link_frequency_by_separation(graph, max_sep))
-    dist = DegreeDistribution(dict(pooled), n * seeds)
+    dist = DegreeDistribution(np.bincount(np.concatenate(degrees)), n * seeds)
     fsr = finite_size_report(dist, rho)
 
     failures = []
@@ -500,7 +440,7 @@ def verify_ensemble(
     pmf_rows = []
     for k, err in fsr.per_k:
         p_the = theory.degree_pmf(rho, k)
-        pmf_rows.append((k, pooled[k], dist.pmf(k), p_the, err))
+        pmf_rows.append((k, int(dist.counts[k]), dist.pmf(k), p_the, err))
         if n * p_the >= 50 and err >= e_threshold:
             failures.append(f"pmf E(k={k}) = {err:.3f} >= {e_threshold:.3f}")
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,13 +76,23 @@ def as_values(series) -> np.ndarray:
 
 
 def _read_text(path: Path) -> str:
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError:
-            pass
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        return "".join(fh)  # raise the error where a line-by-line read meets it
+    """The file's UTF-8 text less one leading BOM; an undecodable byte names its row."""
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise ValueError(f"row {row}: {exc}") from None
+
+
+def _csv_rows(text: str, numbered: bool = False) -> list:
+    """csv.reader's rows of `text`, `numbered` as (last physical line, row); a
+    csv.Error (a field past csv's size limit, say) becomes a ValueError naming its row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return [(reader.line_num, row) for row in reader] if numbered else list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
 
 
 def _plain_lines(text: str) -> list[str] | None:
@@ -132,15 +141,14 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
         raise FileNotFoundError(f"no such file: {path}")
     text = _read_text(path)
     lines = _plain_lines(text)
-    rows = None if lines is not None else list(csv.reader(io.StringIO(text, newline="")))
-    records = rows if lines is None else lines
+    records = lines if lines is not None else _csv_rows(text)
 
     header: list[str] | None = None
     start = 0
     if has_header:
         if not records:
             raise ValueError(f"{path}: empty file, expected a header row")
-        header = [c.strip() for c in (rows[0] if lines is None else lines[0].split(","))]
+        header = [c.strip() for c in (records[0] if lines is None else lines[0].split(","))]
         start = 1
 
     if isinstance(column, str) and column.lstrip("-").isdigit():
@@ -162,13 +170,11 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
         values = _loadtxt(lines[start:], col_idx)
         if values is not None:
             return TimeSeries(values)
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        records = _csv_rows(text)
     try:
-        values = np.array([float(row[col_idx].strip()) for row in rows[start:]])
+        values = np.array([float(row[col_idx].strip()) for row in records[start:]])
     except (IndexError, ValueError):  # name the first bad row by its last physical line
-        reader = csv.reader(io.StringIO(text, newline=""))
-        for row in itertools.islice(reader, start, None):
-            line_no = reader.line_num
+        for line_no, row in _csv_rows(text, numbered=True)[start:]:
             if not row:
                 raise ValueError(f"row {line_no}: blank line") from None
             if col_idx >= len(row):
@@ -192,10 +198,3 @@ def write_series(series: TimeSeries, path) -> None:
         w = csv.writer(fh)
         w.writerow(["value"])
         w.writerows([format(v, ".17g")] for v in series.values)
-
-
-def affine_transform(series: TimeSeries, a: float, b: float) -> TimeSeries:
-    """Map every value to a*x + b; requires a > 0 (order must be preserved)."""
-    if not a > 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    return TimeSeries(a * series.values + b)

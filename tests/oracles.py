@@ -1,4 +1,5 @@
-"""Independent reference implementations used as test oracles."""
+"""Independent reference implementations used as test oracles, and the
+affine map the invariance tests apply to series."""
 from __future__ import annotations
 
 import csv
@@ -6,6 +7,8 @@ import csv
 import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import shortest_path
+
+from lphvg import TimeSeries, clustering_max, clustering_min
 
 
 def load_series_reference(path, column: int | str = 0, has_header: bool = False) -> np.ndarray:
@@ -73,11 +76,22 @@ def triangle_reference(values, rho: int) -> list[int]:
     return [sum(1 for a in nb for b in nb if a < b and b in nbrs[a]) for nb in nbrs]
 
 
+def local_clustering(graph, node: int) -> float:
+    """Triangles through `node` over C(k, 2), from its CSR rows alone; zero for degree < 2."""
+    if not 0 <= node < graph.n:
+        raise IndexError(f"node {node} out of range for n={graph.n}")
+    ptr, idx = graph.indptr, graph.indices
+    nb = idx[ptr[node] : ptr[node + 1]]
+    k = nb.size
+    if k < 2:
+        return 0.0
+    rows = np.concatenate([idx[ptr[u] : ptr[u + 1]] for u in nb])
+    return int(np.isin(rows, nb).sum()) / (k * (k - 1))  # 2 * triangles / (k(k-1))
+
+
 def coverage_reference(graph, tol: float = 1e-12) -> tuple[float, int, int, int]:
     """(fraction, interior count, below, above) of the clustering envelope by a
     per-node loop that evaluates the envelope at every interior node."""
-    from lphvg import clustering_max, clustering_min, local_clustering
-
     rho = graph.rho
     unvalidated = rho > 2
     below = above = inside = total = 0
@@ -114,6 +128,13 @@ def path_length_reference(graph) -> float:
 def sourced_path_length_reference(graph, sources) -> float:
     """Mean shortest-path length from each of `sources` to every other node, by scipy."""
     return float(_distances(graph, sources).sum()) / (len(sources) * (graph.n - 1))
+
+
+def affine_transform(series: TimeSeries, a: float, b: float) -> TimeSeries:
+    """Map every value to a*x + b; requires a > 0 (order must be preserved)."""
+    if not a > 0:
+        raise ValueError(f"a must be > 0, got {a}")
+    return TimeSeries(a * series.values + b)
 
 
 def edge_set(graph) -> set[tuple[int, int]]:

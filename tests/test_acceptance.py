@@ -8,7 +8,6 @@ the exact rho = 0 case and the calibrated coverage bands (see the README's
 """
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from lphvg import (
     DegreeDistribution,
     RngConfig,
-    affine_transform,
     build_lphvg,
     build_lphvg_naive,
     clustering_coverage,
@@ -34,7 +32,6 @@ from lphvg import (
     gen_logistic,
     gen_periodic,
     link_frequency_by_separation,
-    local_clustering,
     mean_degree_empirical,
     mean_degree_periodic_exact,
     long_visibility_prob,
@@ -45,7 +42,14 @@ from lphvg.cli import main as cli_main
 from lphvg.generators import FlowSpec, IidSpec
 from lphvg.metrics import COVERAGE_BANDS, VERDICT_DEVIATING, VERDICT_IID
 
-from oracles import edge_set, hvg_reference_edges, lphvg_reference_edges
+from oracles import (
+    affine_transform,
+    coverage_reference,
+    edge_set,
+    hvg_reference_edges,
+    local_clustering,
+    lphvg_reference_edges,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -90,11 +94,9 @@ def test_criterion_01_closed_form_self_consistency():
 
 
 def pooled_errors(family: str, rho: int, n: int, seeds: int, base: int):
-    counts: Counter = Counter()
-    for seed in range(seeds):
-        ts = gen_iid(IidSpec(family, n, RngConfig(base, seed)))
-        counts.update(degree_distribution(build_lphvg(ts, rho)).counts)
-    pooled = DegreeDistribution(dict(counts), n * seeds)
+    degrees = [build_lphvg(gen_iid(IidSpec(family, n, RngConfig(base, seed))), rho).degrees()
+               for seed in range(seeds)]
+    pooled = DegreeDistribution(np.bincount(np.concatenate(degrees)), n * seeds)
     out = []
     k = 2 * (rho + 1)
     while n * degree_pmf(rho, k) >= 50:
@@ -258,12 +260,12 @@ def test_criterion_06_clustering_bounds():
     # (c) i.i.d. coverage at rho = 1, 2 lies in the discriminator's calibrated band.
     covs = {}
     for rho in (1, 2):
-        ts = uniform_series(3000, rho, base=600)
-        covs[rho] = clustering_coverage(build_lphvg(ts, rho))
+        g = build_lphvg(uniform_series(3000, rho, base=600), rho)
+        covs[rho] = coverage_reference(g)  # (fraction, interior, below, above)
+        assert clustering_coverage(g) == covs[rho][0]
     out_of_band = {
-        r: c.fraction
-        for r, c in covs.items()
-        if not COVERAGE_BANDS[r][0] <= c.fraction <= COVERAGE_BANDS[r][1]
+        r: c[0] for r, c in covs.items()
+        if not COVERAGE_BANDS[r][0] <= c[0] <= COVERAGE_BANDS[r][1]
     }
     elapsed = time.perf_counter() - t0
     report(
@@ -272,7 +274,7 @@ def test_criterion_06_clustering_bounds():
         "exact envelope values and both witnesses hold; "
         f"rho=0: C = 2/k at all {bounded.size} bounded nodes; coverage "
         + ", ".join(
-            f"rho={r}: {c.fraction:.4f} (below {c.below_min}, above {c.above_max}, "
+            f"rho={r}: {c[0]:.4f} (below {c[2]}, above {c[3]}, "
             f"band {COVERAGE_BANDS[r]})"
             for r, c in covs.items()
         )

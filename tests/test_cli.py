@@ -1,4 +1,7 @@
 import argparse
+import ast
+import csv
+import importlib
 import json
 import math
 import os
@@ -217,12 +220,12 @@ assert main(["build", "--input", {str(src)!r}, "--format", "edges", "--rho", "1"
 assert main(["verify", "--rho", "1", "--n", "600", "--seeds", "1",
              "--outdir", {str(tmp_path / "one")!r}]) in (0, 1)"""
     assert scipy_modules_after(code) == []
-    # numpy's parse of a plain CSV comes with numpy: beyond what `import lphvg.cli` and
-    # argparse load, a build loads only the codec that reads its input
+    # numpy's parse of a plain CSV comes with numpy, and the input is decoded as plain
+    # UTF-8: a build loads nothing beyond what `import lphvg.cli` and argparse load
     argv = ["build", "--input", str(src), "--rho", "1", "--out", str(tmp_path / "h.txt")]
     parsed = modules_after(f"from lphvg.cli import build_parser\nbuild_parser().parse_args({argv!r})")
     built = modules_after(f"from lphvg.cli import main\nassert main({argv!r}) == 0")
-    assert set(built) - set(parsed) == {"encodings.utf_8_sig"}
+    assert set(built) - set(parsed) == set()
     code += f"""
 main(["verify", "--rho", "1", "--n", "600", "--seeds", "3", "--outdir", {str(tmp_path)!r}])"""
     loaded = scipy_modules_after(code)
@@ -440,6 +443,24 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and reason in err
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--rho", "1", "--out", "{tmp}/g.txt"],
+        ["discriminate", "--rho", "1", "--out", "{tmp}/v.json"],
+        ["evolve", "--rho", "1", "--window-len", "2", "--step", "1", "--outdir", "{tmp}/run"],
+    ], ids=["build", "discriminate", "evolve"])
+    @pytest.mark.parametrize("content, message", [
+        (f"1.0,note\n2.0,{'x' * (csv.field_size_limit() + 1)}\n".encode(),
+         f"row 2: field larger than field limit ({csv.field_size_limit()})"),
+        (b"1.0\n2.0\n\xff\n", "row 3: 'utf-8' codec can't decode byte 0xff in position 8"),
+    ], ids=["cell-past-csv-limit", "undecodable-byte"])
+    def test_unreadable_input_exits_1_naming_its_row(self, tmp_path, capsys, argv, content,
+                                                     message):
+        src = tmp_path / "s.csv"
+        src.write_bytes(content)
+        rc = run([argv[0], "--input", str(src)] + [a.format(tmp=tmp_path) for a in argv[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_numeric_failure_exits_2(self, tmp_path, capsys):
         # a divergent orbit is a runtime failure, not a validation error
         rc = run(["generate", "--system", "henon", "--x0", "10", "--n", "100",
@@ -490,6 +511,19 @@ def readme_commands() -> list[list[str]]:
     argvs = [shlex.split(ln) for ln in lines]
     assert argvs and all(argv[0] == "lphvg" for argv in argvs)
     return [argv[1:] for argv in argvs]
+
+
+def test_bench_imports_resolve():
+    # tier-1 never runs the bench, so a library name it imports must not vanish unseen
+    bench, names = Path(__file__).parents[1] / "perfbench", 0
+    for script in ("layers.py", "smoke.py"):
+        for node in ast.walk(ast.parse((bench / script).read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lphvg":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (script, node.module, alias.name)
+                    names += 1
+    assert names >= 20
 
 
 def test_readme_library_tour():

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 import lphvg.graph
 from lphvg import (
     TimeSeries,
-    affine_transform,
     build_lphvg,
     build_lphvg_naive,
     mean_path_length,
@@ -16,6 +15,7 @@ from lphvg import (
 )
 from oracles import (
     adjacency_reference,
+    affine_transform,
     edge_list_reference,
     edge_set,
     hvg_reference_edges,

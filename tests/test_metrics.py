@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import linregress
 
+import lphvg.metrics
 from lphvg import (
     DegreeDistribution,
     RngConfig,
@@ -20,10 +21,10 @@ from lphvg import (
     gen_iid,
     gen_logistic,
     link_frequency_by_separation,
-    local_clustering,
     mean_clustering,
     mean_degree_empirical,
     mean_path_length,
+    verify_ensemble,
 )
 from lphvg.generators import IidSpec
 from lphvg.graph import VisibilityGraph
@@ -38,10 +39,10 @@ from lphvg.metrics import (
     _triangles,
     VERDICT_IID,
     InsufficientBinsError,
-    interior_nodes,
 )
 from oracles import (
     coverage_reference,
+    local_clustering,
     lphvg_reference_edges,
     path_length_reference,
     sourced_path_length_reference,
@@ -66,20 +67,51 @@ def hub_series(n):
 class TestDegreeDistribution:
     def test_path5(self):
         dist = degree_distribution(path_graph(5))
-        assert dist.counts == {1: 2, 2: 3}
+        assert dist.counts.tolist() == [0, 2, 3]
+        assert dist.max_degree == 2
 
     def test_k4(self):
         dist = degree_distribution(k4())
-        assert dist.counts == {3: 4}
+        assert dist.counts.tolist() == [0, 0, 0, 4]
 
     def test_pmf_sums_to_one(self):
         g = build_lphvg(np.random.default_rng(0).random(500), 1)
         dist = degree_distribution(g)
-        assert sum(dist.pmf(k) for k in dist.counts) == pytest.approx(1.0)
+        assert sum(dist.pmf(k) for k in range(dist.max_degree + 2)) == pytest.approx(1.0)
+        assert dist.pmf(dist.max_degree + 1) == 0.0  # past the array
 
-    def test_count_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            DegreeDistribution({2: 3}, 5)
+    @pytest.mark.parametrize(
+        "counts, n, message",
+        [([0, 0, 3], 5, "counts sum to 3, expected n=5"), ([2, -1, 4], 5, "negative count"),
+         ([], 0, "empty distribution")],
+        ids=["mis-summed", "negative", "empty"],
+    )
+    def test_count_consistency_enforced(self, counts, n, message):
+        with pytest.raises(ValueError, match=message):
+            DegreeDistribution(np.array(counts, dtype=np.int64), n)
+
+    @pytest.mark.parametrize("rho", [0, 1, 3])
+    def test_counts_are_the_bincount_of_degrees(self, rho):
+        for x in (hub_series(300), np.random.default_rng(rho).integers(0, 4, 300).astype(float)):
+            g = build_lphvg(x, rho)
+            dist = degree_distribution(g)
+            assert dist.counts.dtype == np.int64
+            assert np.array_equal(dist.counts, np.bincount(g.degrees()))
+            assert dist.max_degree == g.degrees().max()
+
+    def test_verify_counts_are_the_per_seed_sums(self):
+        n, seeds, rho = 400, 3, 1
+        pooled = np.zeros(n, dtype=np.int64)
+        for s in range(seeds):
+            pooled += np.bincount(
+                build_lphvg(gen_iid(IidSpec("uniform", n, RngConfig(5, s))), rho).degrees(), minlength=n
+            )
+        header, rows = verify_ensemble(rho, n, seeds, seed=5).tables["pmf_vs_theory.csv"]
+        assert header[:2] == ["k", "count"]
+        assert [(k, count) for k, count, *_ in rows] == [
+            (k, int(pooled[k])) for k in range(2 * (rho + 1), int(np.flatnonzero(pooled)[-1]) + 1)
+        ]
+        assert all(type(k) is int and type(count) is int for k, count, *_ in rows)
 
     def test_empirical_mean_degree_near_theory(self):
         ts = gen_iid(IidSpec("uniform", 3000, RngConfig(17)))
@@ -173,15 +205,11 @@ class TestPathLength:
     def test_k4(self):
         assert mean_path_length(k4()) == pytest.approx(1.0)
 
-    def test_sampled_matches_exact_roughly(self):
+    def test_sampled_matches_exact_roughly(self, monkeypatch):
         g = build_lphvg(np.random.default_rng(1).random(400), 1)
         exact = mean_path_length(g)
-        sampled = mean_path_length(g, sample_pairs=4000, seed=3)
-        assert sampled == pytest.approx(exact, rel=0.05)
-
-    def test_sample_pairs_validation(self):
-        with pytest.raises(ValueError):
-            mean_path_length(path_graph(5), sample_pairs=0)
+        monkeypatch.setattr(lphvg.metrics, "PATH_SAMPLE_PAIRS", 4000)
+        assert mean_path_length(g) == pytest.approx(exact, rel=0.05)
 
     @pytest.mark.parametrize(
         "values, deep",
@@ -213,7 +241,7 @@ class TestPathLength:
         # path graph on n nodes has exact mean distance (n+1)/3
         n = 2100
         g = path_graph(n)
-        est = mean_path_length(g, seed=11)
+        est = mean_path_length(g)
         assert est == pytest.approx((n + 1) / 3, rel=0.03)
 
     @pytest.mark.parametrize(
@@ -221,32 +249,34 @@ class TestPathLength:
         [np.random.default_rng(4).random(400), np.arange(400, 0, -1, dtype=float)],
         ids=["iid400", "decreasing400"],  # the probe keeps the first, sends the second to scipy
     )
-    def test_one_word_of_seeded_sources_matches_scipy(self, values):
+    def test_one_word_of_seeded_sources_matches_scipy(self, values, monkeypatch):
         n = values.size
         g = build_lphvg(values, 1)
-        sources = np.sort(np.random.default_rng(7).permutation(n)[:64])  # one word
-        assert mean_path_length(g, sample_pairs=1, seed=7) == sourced_path_length_reference(
-            g, sources
-        )
+        sources = np.sort(np.random.default_rng(0).permutation(n)[:64])  # one word
+        monkeypatch.setattr(lphvg.metrics, "PATH_SAMPLE_PAIRS", 1)
+        assert mean_path_length(g) == sourced_path_length_reference(g, sources)
 
-    def test_sources_cover_sample_pairs_in_whole_words(self):
+    def test_sources_cover_sample_pairs_in_whole_words(self, monkeypatch):
         n = 1000
         g = build_lphvg(np.random.default_rng(5).random(n), 2)
         for words in (1, 2, 3):
-            sources = np.sort(np.random.default_rng(1).permutation(n)[: 64 * words])
+            sources = np.sort(np.random.default_rng(0).permutation(n)[: 64 * words])
             expect = sourced_path_length_reference(g, sources)
             for pairs in (64 * (words - 1) * (n - 1) + 1, 64 * words * (n - 1)):
-                assert mean_path_length(g, sample_pairs=pairs, seed=1) == expect
+                monkeypatch.setattr(lphvg.metrics, "PATH_SAMPLE_PAIRS", pairs)
+                assert mean_path_length(g) == expect
 
     @pytest.mark.parametrize("extra", [0, 1, 12345])
-    def test_all_ordered_pairs_give_the_exact_value(self, extra):
+    def test_all_ordered_pairs_give_the_exact_value(self, extra, monkeypatch):
         for values, rho in [
             (np.random.default_rng(3).random(300), 1),
             (np.arange(150, 0, -1, dtype=float), 0),  # deep: scipy
         ]:
             g = build_lphvg(values, rho)
-            exact = mean_path_length(g, sample_pairs=g.n * (g.n - 1) + extra, seed=5)
-            assert exact == mean_path_length(g) == path_length_reference(g)
+            default = mean_path_length(g)
+            monkeypatch.setattr(lphvg.metrics, "PATH_SAMPLE_PAIRS", g.n * (g.n - 1) + extra)
+            assert mean_path_length(g) == default == path_length_reference(g)
+            monkeypatch.undo()
 
     def test_bfs_and_scipy_sum_agree_on_sampled_sources(self):
         n = 3000
@@ -270,10 +300,10 @@ def exact_theory_distribution(rho=1, k_lo=4, k_hi=20):
     base = 2 * rho + 2  # 4
     top = 2 * rho + 3  # 5
     n = top ** (k_hi - k_lo + 1)
-    counts = {
-        k: base ** (k - k_lo) * top ** (k_hi - k) for k in range(k_lo, k_hi + 1)
-    }
-    counts[k_lo - 1] = n - sum(counts.values())
+    counts = np.zeros(k_hi + 1, dtype=np.int64)
+    for k in range(k_lo, k_hi + 1):
+        counts[k] = base ** (k - k_lo) * top ** (k_hi - k)
+    counts[k_lo - 1] = n - int(counts.sum())
     return DegreeDistribution(counts, n)
 
 
@@ -288,12 +318,12 @@ class TestFiniteSize:
 
     def test_single_bin_error_value(self):
         # P_num(4)=0.25 against theory 0.2 -> E(4)=0.25
-        counts = {4: 250, 5: 750}
+        counts = np.array([0, 0, 0, 0, 250, 750])
         rep = finite_size_report(DegreeDistribution(counts, 1000), 1)
         assert dict(rep.per_k)[4] == pytest.approx(0.25)
 
     def test_cutoff_with_zero_count_gap(self):
-        counts = {4: 200, 5: 160, 7: 150}
+        counts = np.array([0, 0, 0, 0, 200, 160, 0, 150])
         rep = finite_size_report(DegreeDistribution(counts, 510), 1)
         assert rep.k0 == 6
 
@@ -336,8 +366,8 @@ class TestFiniteSize:
 class TestFitTail:
     def test_exact_geometric_recovery(self):
         # counts 4^(k-4) * 5^(10-k): ln pmf is exactly linear with slope -ln(5/4)
-        counts = {k: 4 ** (k - 4) * 5 ** (10 - k) for k in range(4, 11)}
-        dist = DegreeDistribution(counts, sum(counts.values()))
+        counts = np.array([0] * 4 + [4 ** (k - 4) * 5 ** (10 - k) for k in range(4, 11)])
+        dist = DegreeDistribution(counts, int(counts.sum()))
         fit = fit_tail(dist, 1)
         assert fit.lambda_hat == pytest.approx(math.log(5 / 4), abs=1e-9)
         assert fit.stderr == pytest.approx(0.0, abs=1e-9)
@@ -357,7 +387,7 @@ class TestFitTail:
         assert chi2 / df > 3.0  # the slope alone can look iid; the law does not
 
     def test_insufficient_bins(self):
-        counts = {4: 100, 5: 50}
+        counts = np.array([0, 0, 0, 0, 100, 50])
         with pytest.raises(InsufficientBinsError):
             fit_tail(DegreeDistribution(counts, 150), 1)
 
@@ -378,14 +408,15 @@ class TestFitTail:
 
 
 class TestChi2:
-    def test_exact_distribution_is_tiny(self):
-        # counts exactly proportional to the law up to k=40; stop the scan
-        # there (beyond it the construction has no mass by design)
-        dist = exact_theory_distribution(k_hi=40)
-        floor = dist.n * degree_pmf(1, 41) * 1.000001
-        chi2, df = degree_law_chi2(dist, 1, min_expected=floor)
-        assert df > 10
-        assert chi2 / df < 1e-6  # pure float rounding at n ~ 7e25
+    def test_exact_distribution_is_tiny(self, monkeypatch):
+        # counts exactly proportional to the law up to k=30 (n = 5^27 still fits
+        # int64); stop the scan there (beyond it the construction has no mass)
+        dist = exact_theory_distribution(k_hi=30)
+        floor = dist.n * degree_pmf(1, 31) * 1.000001
+        monkeypatch.setattr(lphvg.metrics, "DEGREE_CHI2_MIN_EXPECTED", floor)
+        chi2, df = degree_law_chi2(dist, 1)
+        assert df == 27  # bins k = 4..30
+        assert chi2 / df < 1e-6  # pure float rounding at n ~ 7e18
 
     def test_uniform_series_near_one(self):
         ts = gen_iid(IidSpec("uniform", 3000, RngConfig(31)))
@@ -395,21 +426,10 @@ class TestChi2:
 
 
 class TestCoverage:
-    def test_interior_definition(self):
-        g = build_lphvg(np.random.default_rng(2).random(50), 2)
-        assert list(interior_nodes(g)) == list(range(3, 47))
-
     def test_uniform_coverage_band(self):
         ts = gen_iid(IidSpec("uniform", 3000, RngConfig(37)))
         for rho, lo, hi in ((1, 0.76, 0.835), (2, 0.955, 0.9845)):
-            cov = clustering_coverage(build_lphvg(ts, rho))
-            assert lo <= cov.fraction <= hi
-            assert cov.interior_count == 3000 - 2 * (rho + 1)
-
-    def test_counts_add_up(self):
-        cov = clustering_coverage(build_lphvg(np.random.default_rng(3).random(500), 1))
-        inside = cov.interior_count - cov.below_min - cov.above_max
-        assert inside / cov.interior_count == pytest.approx(cov.fraction)
+            assert lo <= clustering_coverage(build_lphvg(ts, rho)) <= hi
 
     @staticmethod
     def assert_matches_reference(x, rho):
@@ -420,9 +440,9 @@ class TestCoverage:
             with pytest.raises(ValueError, match="no interior nodes"):
                 clustering_coverage(g)
             return
-        cov = clustering_coverage(g)
-        got = (cov.fraction, cov.interior_count, cov.below_min, cov.above_max)
-        assert got == coverage_reference(g)
+        fraction, interior, _, _ = coverage_reference(g)
+        assert interior == g.n - 2 * (rho + 1)
+        assert clustering_coverage(g) == fraction
 
     @pytest.mark.parametrize(
         "values", [series_values, monotone_values, plateau_values, sawtooth_values],

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lphvg.series
-from lphvg import RngConfig, TimeSeries, affine_transform, load_series, write_series
-from oracles import load_series_reference
+from lphvg import RngConfig, TimeSeries, load_series, write_series
+from oracles import affine_transform, load_series_reference
 from shapes import monotone_values, plateau_values, sawtooth_values, series_values
 
 
@@ -241,20 +241,26 @@ class TestTwoParses:
             load_series(p, **kwargs)
         assert str(exc.value) == message.format(path=p) == csv_reader_error(p, **kwargs)
 
-    def test_undecodable_byte_named_as_a_line_reader_meets_it(self, tmp_path):
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_names_its_row(self, tmp_path, bom, end):
+        # the position counts from the file's first byte after the BOM, as utf-8-sig's does
         p = tmp_path / "s.csv"
-        p.write_bytes(b"1.0\n" * 5000 + b"\xff\n")
-        with pytest.raises(UnicodeDecodeError) as exc:
+        data = b"1.0" + end + b"\xc3\xa9" * 5000 + end + b"3.0\xff" + end
+        p.write_bytes(bom + data)
+        with pytest.raises(UnicodeDecodeError) as ref:
+            (bom + data).decode("utf-8-sig")
+        with pytest.raises(ValueError) as exc:
             load_series(p)
-        with p.open(newline="", encoding="utf-8-sig") as fh, pytest.raises(UnicodeDecodeError) as ref:
-            list(csv.reader(fh))
-        assert str(exc.value) == str(ref.value)
+        assert str(exc.value) == f"row 3: {ref.value}"
+        assert f"position {len(data) - 1 - len(end)}:" in str(exc.value)
 
     def test_field_past_csv_limit_goes_to_csv_reader(self, tmp_path):
         # numpy would read column 0; csv.reader refuses the long note in column 1
         p = tmp_path / "s.csv"
-        p.write_text("1.0,note\n2.0," + "x" * (csv.field_size_limit() + 1) + "\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        p.write_text("1.0,note\n2.0," + "x" * (csv.field_size_limit() + 1) + "\n3.0,\n")
+        limit = csv.field_size_limit()
+        with pytest.raises(ValueError, match=rf"^row 2: field larger than field limit \({limit}\)$"):
             load_series(p)
 
 
