@@ -182,7 +182,7 @@ def cmd_build(args) -> int:
 def cmd_discriminate(args) -> int:
     series = _load_input(args) if args.input else _generate_series(args)
     result = discriminate(series, args.rho)
-    payload = json.loads(json.dumps(result.to_dict()), parse_constant=lambda _: None)  # NaN as null
+    payload = json.loads(json.dumps(vars(result)), parse_constant=lambda _: None)  # NaN as null
     payload["config"] = _config(args)
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_out(args, lambda p: p.write_text(text))

@@ -92,17 +92,15 @@ def gen_logistic(n: int, x0: float = 0.3, mu: float = 4.0) -> TimeSeries:
     return TimeSeries(out)
 
 
-def gen_henon(
-    n: int, x0: float = 0.0, y0: float = 0.0, a: float = 1.4, b: float = 0.3
-) -> TimeSeries:
-    """Record the x-coordinate of x_{t+1} = 1 + y_t - a x_t^2, y_{t+1} = b x_t."""
+def gen_henon(n: int, x0: float = 0.0, y0: float = 0.0) -> TimeSeries:
+    """Record the x-coordinate of x_{t+1} = 1 + y_t - 1.4 x_t^2, y_{t+1} = 0.3 x_t."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     out = np.empty(n)
     x, y = float(x0), float(y0)
     for t in range(n):
         out[t] = x
-        x, y = 1.0 + y - a * x * x, b * x
+        x, y = 1.0 + y - 1.4 * x * x, 0.3 * x
         if abs(x) > 1e10:
             raise DivergenceError(f"orbit diverged at step {t + 1} (|x| > 1e10)")
     return TimeSeries(out)

@@ -103,10 +103,10 @@ def _triangles(graph: VisibilityGraph) -> np.ndarray:
     return (np.bincount(w, hits[0], n) + np.bincount(out, hits.sum(0), n)).astype(np.int64)
 
 
-def _clustering(graph: VisibilityGraph) -> list[float]:
+def _clustering(graph: VisibilityGraph) -> np.ndarray:
     """Local clustering of every node, 2 * triangles / (k(k-1))."""
     pairs = graph.degrees() * (graph.degrees() - 1)
-    return np.divide(2 * _triangles(graph), pairs, out=np.zeros(graph.n), where=pairs > 0).tolist()
+    return np.divide(2 * _triangles(graph), pairs, out=np.zeros(graph.n), where=pairs > 0)
 
 
 def mean_degree_empirical(graph: VisibilityGraph) -> float:
@@ -114,7 +114,7 @@ def mean_degree_empirical(graph: VisibilityGraph) -> float:
 
 
 def mean_clustering(graph: VisibilityGraph) -> float:
-    return sum(_clustering(graph)) / graph.n
+    return sum(_clustering(graph).tolist()) / graph.n
 
 
 def _bfs_distance_sum(graph: VisibilityGraph, sources: np.ndarray, max_depth: int):
@@ -283,7 +283,7 @@ def clustering_coverage(graph: VisibilityGraph) -> float:
     if graph.n <= 2 * (rho + 1):
         raise ValueError("graph has no interior nodes")
     span = slice(rho + 1, graph.n - rho - 1)
-    c = np.asarray(_clustering(graph))[span]
+    c = _clustering(graph)[span]
     ks, inverse = np.unique(graph.degrees()[span], return_inverse=True)
     unvalidated = rho > theory.CLUSTERING_RHO_MAX
     lo = np.array([theory.clustering_min(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
@@ -326,12 +326,6 @@ class DiscriminationResult:
     me: float
     k0: int
     mean_degree: float
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["fit_k_range"] = list(self.fit_k_range)
-        d["coverage_band"] = list(self.coverage_band) if self.coverage_band else None
-        return d
 
 
 def discriminate(series, rho: int) -> DiscriminationResult:
@@ -462,7 +456,8 @@ def verify_ensemble(
     if seeds > 1:
         from scipy.special import stdtrit  # the t quantile, as scipy.stats.t.ppf computes it
 
-        se_factor = max(3.0, float(stdtrit(seeds - 1, 1.0 - 0.0005 / n_checked)))
+        # at p >= 0.9995 a t quantile exceeds z(0.9995) = 3.29, so it needs no floor of 3
+        se_factor = float(stdtrit(seeds - 1, 1.0 - 0.0005 / n_checked))
     freq = np.vstack(freq_rows)
     long_rows = []
     for sep in range(1, max_sep + 1):

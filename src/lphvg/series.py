@@ -64,15 +64,8 @@ class RngConfig:
 
 
 def as_values(series) -> np.ndarray:
-    """Accept a TimeSeries or any 1-d array-like and return float64 values."""
-    if isinstance(series, TimeSeries):
-        return series.values
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("series contains non-finite values")
-    return arr
+    """The float64 values of a TimeSeries, or of TimeSeries(series) for anything else."""
+    return (series if isinstance(series, TimeSeries) else TimeSeries(series)).values
 
 
 def _read_text(path: Path) -> str:

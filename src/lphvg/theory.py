@@ -109,7 +109,7 @@ def clustering_max(rho: int, k: int, *, unvalidated: bool = False) -> float:
     """
     rho, k = _check_clustering_args(rho, k, unvalidated)
     value = 2.0 / k + 4.0 * rho * (k - 3) / (k * (k - 1))
-    if k < 2 * (2 * rho + 1):
+    if clustering_max_is_extrapolated(rho, k):
         return min(1.0, value)
     return value
 
@@ -120,56 +120,40 @@ def clustering_max_is_extrapolated(rho: int, k: int) -> bool:
     return int(k) < 2 * (2 * rho + 1)
 
 
-def _invert_clustering(c: float, phi: float, disc_coeff: int) -> float:
-    disc = phi * phi - disc_coeff * c
+def _envelope_pmf(rho: int, c: float, a: int, b: int, k_min: int, name: str) -> float:
+    """The degree law at the k whose envelope 2/k + 2a(k-b)/(k(k-1)) equals c.
+
+    k is the larger root of c k^2 - (c+2a+2) k + 2(ab+1) = 0 and must be an
+    integer >= k_min within 1e-6.
+    """
+    if not 0 < c <= 1:
+        raise ValueError(f"clustering value must lie in (0, 1], got {c}")
+    phi = c + 2 * a + 2
+    disc = phi * phi - 8 * (a * b + 1) * c
     if disc < 0:
         raise ValueError(f"clustering value {c} is not attainable (negative discriminant)")
-    return (phi + math.sqrt(disc)) / (2.0 * c)
-
-
-def _pmf_from_k_real(rho: int, k_real: float) -> float:
+    k_real = (phi + math.sqrt(disc)) / (2.0 * c)
+    k_int = round(k_real)
+    if abs(k_real - k_int) > 1e-6 or k_int < k_min:
+        raise ValueError(
+            f"clustering value {c} is not attainable via the {name} envelope "
+            f"(inverted degree {k_real:.6f})"
+        )
     return (1.0 / (2 * rho + 3)) * math.exp(
         (k_real - 2 * (rho + 1)) * math.log((2 * rho + 2) / (2 * rho + 3))
     )
 
 
 def clustering_pmf_min(rho: int, c: float, *, unvalidated: bool = False) -> float:
-    """Probability of observing minimum-envelope clustering value c.
-
-    Inverts c -> k through the quadratic root with phi = c + 2rho + 2 and
-    evaluates the degree law at that k; c must invert to an integer
-    k >= 2(rho+1) within 1e-6.
-    """
+    """Probability of minimum-envelope clustering value c: the degree law at its k >= 2(rho+1)."""
     rho = _check_scope(rho, unvalidated)
-    if not 0 < c <= 1:
-        raise ValueError(f"clustering value must lie in (0, 1], got {c}")
-    k_real = _invert_clustering(c, c + 2 * rho + 2, 8 * (2 * rho + 1))
-    k_int = round(k_real)
-    if abs(k_real - k_int) > 1e-6 or k_int < 2 * (rho + 1):
-        raise ValueError(
-            f"clustering value {c} is not attainable via the minimum envelope "
-            f"(inverted degree {k_real:.6f})"
-        )
-    return _pmf_from_k_real(rho, k_real)
+    return _envelope_pmf(rho, c, rho, 2, 2 * (rho + 1), "minimum")
 
 
 def clustering_pmf_max(rho: int, c: float, *, unvalidated: bool = False) -> float:
-    """Probability of observing maximum-envelope clustering value c.
-
-    Same inversion with phi = c + 4rho + 2, discriminant term 8c(6rho+1);
-    valid for k within the stated max-envelope domain k >= 2(2rho+1).
-    """
+    """Probability of maximum-envelope clustering value c, whose k must be >= 2(2rho+1)."""
     rho = _check_scope(rho, unvalidated)
-    if not 0 < c <= 1:
-        raise ValueError(f"clustering value must lie in (0, 1], got {c}")
-    k_real = _invert_clustering(c, c + 4 * rho + 2, 8 * (6 * rho + 1))
-    k_int = round(k_real)
-    if abs(k_real - k_int) > 1e-6 or k_int < 2 * (2 * rho + 1):
-        raise ValueError(
-            f"clustering value {c} is not attainable via the maximum envelope "
-            f"(inverted degree {k_real:.6f})"
-        )
-    return _pmf_from_k_real(rho, k_real)
+    return _envelope_pmf(rho, c, 2 * rho, 3, 2 * (2 * rho + 1), "maximum")
 
 
 def long_visibility_prob(rho: int, sep: int) -> float:
@@ -186,7 +170,7 @@ def long_visibility_prob(rho: int, sep: int) -> float:
         raise ValueError(f"sep must be >= 1, got {sep}")
     if sep <= rho + 1:
         return 1.0
-    return min(1.0, (rho + 1) * (rho + 2) / (sep * (sep + 1.0)))
+    return (rho + 1) * (rho + 2) / (sep * (sep + 1.0))  # <= (rho+1)/(rho+3) < 1 here
 
 
 def long_visibility_prob_classic(rho: int, sep: int) -> float:

@@ -129,6 +129,12 @@ class TestDiscriminate:
         payload = json.loads(out.read_text())
         assert payload["verdict"] == "consistent-with-iid"
         assert payload["config"]["rho"] == 1
+        # tuples are written as JSON arrays
+        assert [type(k) for k in payload["fit_k_range"]] == [int, int]
+        assert [type(c) for c in payload["coverage_band"]] == [float, float]
+        assert run(["discriminate", "--family", "uniform", "--n", "3000",
+                    "--seed", "3", "--rho", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["coverage_band"] is None  # no band past rho 2
 
     def test_logistic_deviating(self, tmp_path):
         out = tmp_path / "v.json"
@@ -251,6 +257,7 @@ def test_stdtrit_is_t_ppf_bit_for_bit():
         for n_checked in range(1, 31):
             p = 1.0 - 0.0005 / n_checked  # the quantiles verify_ensemble asks for
             assert np.float64(stdtrit(df, p)).tobytes() == np.float64(t.ppf(p, df)).tobytes()
+            assert stdtrit(df, p) > 3  # so verify_ensemble needs no floor of 3 sigma
 
 
 VERIFY_ARTIFACTS = ("pmf_vs_theory.csv", "finite_size.csv", "finite_size_summary.csv",

@@ -1,12 +1,16 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lphvg.series
-from lphvg import RngConfig, TimeSeries, load_series, write_series
+from lphvg import (
+    RngConfig, TimeSeries, WindowConfig, build_lphvg, discriminate, evolve, load_series,
+    write_series,
+)
 from oracles import affine_transform, load_series_reference
 from shapes import monotone_values, plateau_values, sawtooth_values, series_values
 
@@ -288,6 +292,26 @@ def test_timeseries_rejects_nonfinite():
         TimeSeries([1.0, float("nan"), 2.0])
     with pytest.raises(ValueError):
         TimeSeries([float("inf")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda x: build_lphvg(x, 1), lambda x: discriminate(x, 1),
+     lambda x: evolve(x, 1, WindowConfig(4, 2), RngConfig(0))],
+    ids=["build_lphvg", "discriminate", "evolve"],
+)
+@pytest.mark.parametrize(
+    "raw, message",
+    [(np.zeros((2, 3)), r"values must be one-dimensional, got shape \(2, 3\)"),
+     ([1.0, math.nan, 2.0], "non-finite value at index 1"),
+     ([], "series must contain at least one value")],
+    ids=["2-d", "nan", "empty"],
+)
+def test_raw_series_meets_timeseries_checks(call, raw, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # each fails before discriminate's soft-floor warning
+        with pytest.raises(ValueError, match=message):
+            call(raw)
 
 
 def test_timeseries_values_read_only():

@@ -194,6 +194,8 @@ class TestClusteringPmf:
     def test_unattainable_rejected(self):
         with pytest.raises(ValueError, match="not attainable"):
             clustering_pmf_min(1, 0.77)
+        with pytest.raises(ValueError, match="not attainable via the maximum envelope"):
+            clustering_pmf_max(1, 0.8)  # k = 5, below the max envelope's domain k >= 6
         with pytest.raises(ValueError):
             clustering_pmf_min(1, 0.0)
 
@@ -210,6 +212,8 @@ class TestLongVisibility:
         for rho in range(5):
             for sep in range(1, rho + 2):
                 assert long_visibility_prob(rho, sep) == 1.0
+            for sep in range(rho + 2, rho + 200):  # and less than certain past it, unclamped
+                assert long_visibility_prob(rho, sep) < 1
 
     def test_continuous_at_band_edge(self):
         # the closed form evaluates to exactly 1 at sep = rho+1
