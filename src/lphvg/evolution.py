@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import VisibilityGraph, _from_edges, build_lphvg
+from .graph import VisibilityGraph, build_lphvg
 from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
 from .series import RngConfig, as_values, validate_rho
 
@@ -154,11 +154,10 @@ def correlation_index(distances: np.ndarray, theta: float) -> np.ndarray:
 
 
 def recurrence_matrix(distances: np.ndarray, theta: float) -> np.ndarray:
-    """Binary matrix, entry 1 iff d < theta (step function with Theta(0) = 0)."""
-    if not theta > 0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    d = np.asarray(distances, dtype=np.float64)
-    return (d < theta).astype(np.int8)
+    """Binary matrix, entry 1 iff d < theta (step function with Theta(0) = 0): just where
+    the correlation index is > 0, as for 0 <= d < theta the rounded d/theta is at most
+    1 - 2**-53, and negative, infinite and NaN distances agree too."""
+    return (correlation_index(distances, theta) > 0).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def evolve(
     windows = _reference_windows(values.size, cfg, ensemble)
     L = cfg.window_len
     codes = _window_codes(build_lphvg(values, rho), windows)
-    graphs = (_from_edges(L, rho, *np.divmod(c, L)) for c in codes)
+    graphs = (VisibilityGraph(L, rho, c) for c in codes)
     per_window = tuple(
         WindowMetrics(
             start=w[0],

@@ -5,7 +5,7 @@ values x_q (i < q < j) satisfy x_q >= min(x_i, x_j); values exactly equal
 to the smaller endpoint count as blocking. The builder links each point to
 the first rho+1 values at least as high on either side of it (the
 lower-endpoint rule), in O((rho+1) n log n) time for any input shape.
-Graphs are stored as read-only CSR arrays.
+Graphs are stored as their sorted edge codes.
 """
 from __future__ import annotations
 
@@ -18,48 +18,53 @@ import numpy as np
 from .series import as_values, validate_rho
 
 ADJACENCY_EXPORT_MAX_NODES = 2000
-_EDGE_CHUNK_ROWS = 4096
-_EDGE_CHUNK_ENTRIES = 1 << 18
+_EDGE_CHUNK = 1 << 17  # edges decoded at a time
 
 
 @dataclass(frozen=True, eq=False)
 class VisibilityGraph:
     """Immutable undirected simple graph over series indices 0..n-1.
 
-    Stored as read-only CSR arrays: the neighbors of node i are
-    indices[indptr[i]:indptr[i+1]] (int64 indptr, int32 indices), ascending.
+    Stored as the read-only int64 codes i*n+j of its edges (i, j), sorted and
+    distinct, with i < j; the constructor trusts that and checks nothing.
+    Traversals read CSR arrays derived on first use: the neighbors of node i
+    are indices[indptr[i]:indptr[i+1]] (int64 indptr, int32 indices), ascending.
     """
 
     n: int
     rho: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    edge_codes: np.ndarray
 
     def __post_init__(self):
-        self.indptr.flags.writeable = False
-        self.indices.flags.writeable = False
-
-    def _upper(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Edges (i, j), i < j, of rows a..b-1 in lexicographic order."""
-        j = self.indices[self.indptr[a] : self.indptr[b]]
-        i = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(self.indptr[a : b + 1]))
-        upper = j > i
-        return i[upper], j[upper]
+        self.edge_codes.flags.writeable = False
 
     @cached_property
-    def edge_codes(self) -> np.ndarray:
-        """Sorted int64 codes i*n+j (i<j) of all edges; used for fast set algebra."""
-        i, j = self._upper(0, self.n)
-        return i.astype(np.int64) * self.n + j
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) from both directions of every edge, keyed row*n+column."""
+        n, codes = self.n, self.edge_codes
+        keys = np.concatenate([codes, codes % n * n + codes // n])
+        keys.sort()
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        indices = (keys % n).astype(np.int32)
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
 
     @property
     def edge_count(self) -> int:
-        return int(self.indptr[-1]) // 2
+        return self.edge_codes.size
 
     def edges(self):
         """Yield edges (i, j) with i < j in lexicographic order."""
-        for a in range(0, self.n, _EDGE_CHUNK_ROWS):
-            i, j = self._upper(a, min(a + _EDGE_CHUNK_ROWS, self.n))
+        for a in range(0, self.edge_codes.size, _EDGE_CHUNK):
+            i, j = np.divmod(self.edge_codes[a : a + _EDGE_CHUNK], self.n)
             yield from zip(i.tolist(), j.tolist())
 
     def degrees(self) -> np.ndarray:
@@ -71,20 +76,8 @@ class VisibilityGraph:
         return (
             self.n == other.n
             and self.rho == other.rho
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.edge_codes, other.edge_codes)
         )
-
-
-def _from_edges(n: int, rho: int, lo: np.ndarray, hi: np.ndarray) -> VisibilityGraph:
-    """CSR graph from distinct undirected edges (lo[e], hi[e])."""
-    keys = np.concatenate([lo, hi]).astype(np.int64)
-    keys *= n
-    keys += np.concatenate([hi, lo])
-    keys.sort()
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    np.remainder(keys, n, out=keys)
-    return VisibilityGraph(n=n, rho=rho, indptr=indptr, indices=keys.astype(np.int32))
 
 
 def _partners(ranks: np.ndarray, count: int) -> np.ndarray:
@@ -152,9 +145,10 @@ def build_lphvg(series, rho: int) -> VisibilityGraph:
     nodes = np.broadcast_to(np.arange(n, dtype=np.int32), right.shape)
     up = right < n
     down = (left >= 0) & (ranks[left] > ranks)
-    return _from_edges(
-        n, rho, np.concatenate([nodes[up], left[down]]), np.concatenate([right[up], nodes[down]])
-    )
+    codes = np.concatenate([nodes[up], left[down]]).astype(np.int64) * n
+    codes += np.concatenate([right[up], nodes[down]])
+    codes.sort()
+    return VisibilityGraph(n, rho, codes)
 
 
 def build_lphvg_naive(series, rho: int) -> VisibilityGraph:
@@ -173,7 +167,8 @@ def build_lphvg_naive(series, rho: int) -> VisibilityGraph:
     blockers = np.zeros((n, n), dtype=np.int64)
     for q in range(1, n - 1):
         blockers[:q, q + 1 :] += x[q] >= mins[:q, q + 1 :]
-    return _from_edges(n, rho, *np.nonzero(np.triu(blockers <= rho, k=1)))
+    i, j = np.nonzero(np.triu(blockers <= rho, k=1))
+    return VisibilityGraph(n, rho, i * n + j)  # row-major order: already sorted
 
 
 def write_edge_list(graph: VisibilityGraph, path) -> None:
@@ -181,7 +176,7 @@ def write_edge_list(graph: VisibilityGraph, path) -> None:
 
     numpy makes the bytes from a table of each node id's right-aligned ASCII
     digits (leading zeros set to 0, then dropped), in chunks of at most
-    _EDGE_CHUNK_ENTRIES CSR entries or one row, so memory stays bounded.
+    _EDGE_CHUNK edges, so memory stays bounded.
     """
     powers = 10 ** np.arange(len(str(graph.n - 1)) - 1, -1, -1, dtype=np.int64)
     ids = np.arange(graph.n, dtype=np.int64)[:, None]
@@ -189,18 +184,14 @@ def write_edge_list(graph: VisibilityGraph, path) -> None:
     table[:, :-1][ids < powers[:-1]] = 0  # the units digit always prints
     w = powers.size
     with Path(path).open("wb") as fh:
-        a = 0
-        while a < graph.n:
-            end = np.searchsorted(graph.indptr, graph.indptr[a] + _EDGE_CHUNK_ENTRIES, "right")
-            b = max(a + 1, int(end) - 1)
-            i, j = graph._upper(a, b)
+        for a in range(0, graph.edge_codes.size, _EDGE_CHUNK):
+            i, j = np.divmod(graph.edge_codes[a : a + _EDGE_CHUNK], graph.n)
             buf = np.empty((i.size, 2 * w + 2), dtype=np.uint8)
             buf[:, :w] = np.take(table, i, axis=0)  # np.take gathers rows faster than table[i]
             buf[:, w] = ord(" ")
             buf[:, w + 1 : -1] = np.take(table, j, axis=0)
             buf[:, -1] = ord("\n")
             fh.write(buf[buf != 0].tobytes())
-            a = b
 
 
 def check_adjacency_export(n: int) -> None:
@@ -218,5 +209,6 @@ def write_adjacency_csv(graph: VisibilityGraph, path) -> None:
     buf = np.full((graph.n, 2 * graph.n), ord(","), dtype=np.uint8)
     buf[:, ::2] = ord("0")
     buf[:, -1] = ord("\n")
-    buf[np.repeat(np.arange(graph.n), graph.degrees()), 2 * graph.indices] = ord("1")
+    i, j = np.divmod(graph.edge_codes, graph.n)
+    buf[i, 2 * j] = buf[j, 2 * i] = ord("1")
     Path(path).write_bytes(buf.tobytes())

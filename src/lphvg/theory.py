@@ -139,9 +139,7 @@ def _envelope_pmf(rho: int, c: float, a: int, b: int, k_min: int, name: str) -> 
             f"clustering value {c} is not attainable via the {name} envelope "
             f"(inverted degree {k_real:.6f})"
         )
-    return (1.0 / (2 * rho + 3)) * math.exp(
-        (k_real - 2 * (rho + 1)) * math.log((2 * rho + 2) / (2 * rho + 3))
-    )
+    return degree_pmf(rho, k_int)
 
 
 def clustering_pmf_min(rho: int, c: float, *, unvalidated: bool = False) -> float:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lphvg import (
     RngConfig,
+    VisibilityGraph,
     WindowConfig,
     build_lphvg,
     correlation_index,
@@ -23,7 +24,6 @@ import lphvg.evolution
 from lphvg.cli import main
 from lphvg.evolution import _code_distances, _window_codes
 from lphvg.generators import IidSpec
-from lphvg.graph import _from_edges
 
 from shapes import monotone_values, plateau_values, rhos, sawtooth_values
 
@@ -49,8 +49,7 @@ def member_threshold_by_window_graphs(cfg, series_len, rho, rng, ensemble):
 
 
 def graph_from_edges(n, edges):
-    lo, hi = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    return _from_edges(n, 0, lo, hi)
+    return VisibilityGraph(n, 0, np.array(sorted(i * n + j for i, j in edges), dtype=np.int64))
 
 
 class TestWindows:
@@ -268,6 +267,11 @@ class TestPointwiseMaps:
         assert gamma[0, 1] == 0.0  # d == theta counts as far
         assert gamma[0, 2] == pytest.approx(0.5)
         assert gamma[1, 2] == 0.0
+        for theta in (5e-324, 1.5, 3.0, 1e300):  # d == theta is far, the next float below near
+            d = np.array([theta, np.nextafter(theta, 0)])
+            assert correlation_index(d, theta)[0] == 0.0
+            assert correlation_index(d, theta)[1] > 0.0
+            assert recurrence_matrix(d, theta).tolist() == [0, 1]
 
     def test_recurrence_cases(self):
         d = np.array([[0.0, 2.0], [2.0, 0.0]])

@@ -6,10 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import lphvg.graph
 from lphvg import (
+    RngConfig,
     TimeSeries,
+    VisibilityGraph,
+    WindowConfig,
     build_lphvg,
     build_lphvg_naive,
     mean_path_length,
+    threshold_from_random,
     write_adjacency_csv,
     write_edge_list,
 )
@@ -219,11 +223,25 @@ class TestBuilderShapes:
 
     def test_csr_arrays_are_read_only(self):
         g = build_lphvg(np.random.default_rng(4).random(50), 1)
+        assert not g.edge_codes.flags.writeable
         assert not g.indptr.flags.writeable
         assert not g.indices.flags.writeable
         with pytest.raises(ValueError):
             g.indices[0] = 1
         assert not g.indices[g.indptr[3] : g.indptr[4]].flags.writeable
+
+    def test_csr_is_derived_only_for_traversals(self, tmp_path, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("CSR derived")
+
+        monkeypatch.setattr(VisibilityGraph, "_csr", property(refuse))
+        g = build_lphvg(np.random.default_rng(7).random(300), 2)
+        write_edge_list(g, tmp_path / "edges.txt")
+        write_adjacency_csv(g, tmp_path / "adj.csv")
+        assert len(list(g.edges())) == g.edge_count
+        threshold_from_random(WindowConfig(60, 20), 200, 1, RngConfig(0), ensemble=2)
+        with pytest.raises(AssertionError, match="CSR derived"):
+            g.degrees()
 
 
 class TestStructuralInvariants:
@@ -329,11 +347,13 @@ class TestExports:
     @pytest.mark.parametrize("chunk", [None, 1, 7])
     def test_edge_list_hub_row(self, tmp_path, monkeypatch, rho, chunk):
         if chunk is not None:  # chunks end mid-way, at the hub and after it
-            monkeypatch.setattr(lphvg.graph, "_EDGE_CHUNK_ENTRIES", chunk)
+            monkeypatch.setattr(lphvg.graph, "_EDGE_CHUNK", chunk)
         x = [1e9, *range(1, 300)]  # node 0 sees every later point
         p = tmp_path / "edges.txt"
-        write_edge_list(build_lphvg(x, rho), p)
+        g = build_lphvg(x, rho)
+        write_edge_list(g, p)
         assert p.read_bytes() == edge_list_reference(x, rho)
+        assert list(g.edges()) == sorted(lphvg_reference_edges(x, rho))
 
     @pytest.mark.parametrize("n", [2, 3, 10, 11])
     @pytest.mark.parametrize("rho", [0, 1, 2])

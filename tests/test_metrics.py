@@ -228,13 +228,13 @@ class TestPathLength:
         assert mean_path_length(g) == path_length_reference(g)
 
     def test_unreachable_pairs_give_inf(self):
-        def graph(indptr, indices):
-            return VisibilityGraph(4, 0, np.array(indptr), np.array(indices, dtype=np.int32))
+        def graph(edges):
+            return VisibilityGraph(4, 0, np.array([4 * i + j for i, j in edges], dtype=np.int64))
 
-        isolated = graph([0, 1, 3, 4, 4], [1, 0, 2, 1])  # path 0-1-2, node 3 alone
+        isolated = graph([(0, 1), (1, 2)])  # path 0-1-2, node 3 alone
         assert mean_path_length(isolated) == math.inf
         assert path_length_reference(isolated) == math.inf
-        two_parts = graph([0, 1, 2, 3, 4], [1, 0, 3, 2])  # edges (0, 1) and (2, 3)
+        two_parts = graph([(0, 1), (2, 3)])
         assert mean_path_length(two_parts) == math.inf
 
     def test_large_graph_samples_automatically(self):
