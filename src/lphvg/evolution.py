@@ -2,7 +2,10 @@
 distances, a random-reference threshold, correlation index, and recurrence."""
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +149,11 @@ def threshold_from_random(
 
 
 def correlation_index(distances: np.ndarray, theta: float) -> np.ndarray:
-    """Entrywise 1 - d/theta where d < theta, else 0."""
+    """Entrywise 1 - d/theta where d < theta, else 0. A far d is never divided: it may overflow."""
     if not theta > 0:
         raise ValueError(f"theta must be > 0, got {theta}")
     d = np.asarray(distances, dtype=np.float64)
-    return np.where(d < theta, 1.0 - d / theta, 0.0)
+    return 1.0 - np.divide(d, theta, out=np.ones_like(d), where=d < theta)
 
 
 def recurrence_matrix(distances: np.ndarray, theta: float) -> np.ndarray:
@@ -180,6 +183,44 @@ class EvolutionResult:
     recurrence: np.ndarray
 
 
+@contextlib.contextmanager
+def _in_child(fn, *args):
+    """Run fn(*args) in a forked child during the with-block, which gets a function that waits:
+    it returns fn's value or re-raises its exception (pickled down a pipe), or raises RuntimeError
+    if the child died without either. A block that raises kills and reaps the child. Without
+    os.fork, fn runs in process. Python 3.12+ warns of a fork with threads, and numpy's OpenBLAS
+    pool is one: fn must call no BLAS routine and import nothing; the threshold does neither."""
+    if not hasattr(os, "fork"):
+        yield lambda: fn(*args)
+        return
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:  # the child: never returns into the caller's stack
+        try:
+            os.write(write, pickle.dumps((True, fn(*args))))
+        except BaseException as exc:
+            os.write(write, pickle.dumps((False, exc)))
+        finally:
+            os._exit(0)
+    os.close(write)
+    status = None
+    def wait():
+        nonlocal status
+        data, status = pipe.read(), os.waitpid(pid, 0)[1]
+        if status or not data:
+            raise RuntimeError(f"child process ended without a result (wait status {status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+    with open(read, "rb") as pipe:
+        try:
+            yield wait
+        finally:
+            if status is None:  # not waited for: leave no child behind
+                os.kill(pid, 9)  # SIGKILL, without loading the signal module
+                os.waitpid(pid, 0)
+
+
 def evolve(
     series,
     rho: int,
@@ -191,29 +232,27 @@ def evolve(
     values = as_values(series)
     rho = validate_rho(rho)
     windows = _reference_windows(values.size, cfg, ensemble)
-    L = cfg.window_len
-    codes = _window_codes(build_lphvg(values, rho), windows)
-    graphs = (VisibilityGraph(L, rho, c) for c in codes)
-    per_window = tuple(
-        WindowMetrics(
-            start=w[0],
-            stop=w[1],
-            mean_degree=mean_degree_empirical(g),
-            mean_clustering=mean_clustering(g),
-            mean_path_length=mean_path_length(g),
+    with _in_child(threshold_from_random, cfg, values.size, rho, rng, ensemble) as threshold:
+        codes = _window_codes(build_lphvg(values, rho), windows)
+        graphs = (VisibilityGraph(cfg.window_len, rho, c) for c in codes)
+        per_window = tuple(
+            WindowMetrics(
+                start=w[0],
+                stop=w[1],
+                mean_degree=mean_degree_empirical(g),
+                mean_clustering=mean_clustering(g),
+                mean_path_length=mean_path_length(g),
+            )
+            for w, g in zip(windows, graphs)
         )
-        for w, g in zip(windows, graphs)
-    )
-    dist = _code_distances(codes, L * L)
-    theta = threshold_from_random(cfg, values.size, rho, rng, ensemble)
-    gamma = correlation_index(dist, theta)
-    rec = recurrence_matrix(dist, theta)
+        dist = _code_distances(codes, cfg.window_len ** 2)
+        theta = threshold()
     return EvolutionResult(
         window_count=len(windows),
         windows=tuple(windows),
         per_window=per_window,
         distances=dist,
         theta=theta,
-        gamma=gamma,
-        recurrence=rec,
+        gamma=correlation_index(dist, theta),
+        recurrence=recurrence_matrix(dist, theta),
     )

@@ -126,7 +126,8 @@ def _bfs_distance_sum(graph: VisibilityGraph, sources: np.ndarray, max_depth: in
     seen[sources, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
     frontier, total = seen, 0
     for level in range(1, max_depth + 2):
-        frontier = np.bitwise_or.reduceat(frontier[graph.indices], graph.indptr[:-1], axis=0)
+        frontier = np.bitwise_or.reduceat(
+            np.take(frontier, graph.indices, axis=0), graph.indptr[:-1], axis=0)
         frontier &= ~seen
         count = int(np.bitwise_count(frontier).sum())
         if count == 0:

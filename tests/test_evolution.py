@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -272,6 +273,9 @@ class TestPointwiseMaps:
             assert correlation_index(d, theta)[0] == 0.0
             assert correlation_index(d, theta)[1] > 0.0
             assert recurrence_matrix(d, theta).tolist() == [0, 1]
+        # a far d is never divided: 1e308 / 1e-10 overflows, an error under this suite's filter
+        assert correlation_index(np.array([1e308, 0.0]), 1e-10).tolist() == [0.0, 1.0]
+        assert recurrence_matrix(np.array([1e308, 0.0]), 1e-10).tolist() == [0, 1]
 
     def test_recurrence_cases(self):
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -367,3 +371,95 @@ class TestEvolve:
             # the reference-minimum threshold keeps recurrences rare everywhere
             offdiag = res.recurrence.sum() - res.window_count
             assert offdiag <= 0.05 * res.window_count * (res.window_count - 1)
+
+
+def assert_same_result(a, b):
+    assert (a.window_count, a.windows, a.per_window) == (b.window_count, b.windows, b.per_window)
+    assert a.theta.hex() == b.theta.hex()
+    for field in ("distances", "gamma", "recurrence"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """Wraps os.fork; the list of the children it started, in the parent."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor a zombie
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the threshold runs in process")
+class TestThresholdChild:
+    """evolve computes the reference threshold in a forked child."""
+
+    CASES = {
+        "uniform": np.random.default_rng(4).random(400),
+        "trend": -np.arange(400.0) + 2 * np.random.default_rng(5).standard_normal(400),
+        "plateau": np.repeat(np.random.default_rng(6).integers(0, 4, 80), 5).astype(float),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_same_result_without_fork(self, name, fork_pids, monkeypatch):
+        args = (self.CASES[name], 2, WindowConfig(80, 40), RngConfig(7))
+        forked = evolve(*args, ensemble=3)
+        assert_reaped(fork_pids)
+        monkeypatch.delattr(os, "fork")
+        assert_same_result(evolve(*args, ensemble=3), forked)
+        assert len(fork_pids) == 1
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+    def test_degenerate_reference_raises_value_error(self, fork, fork_pids, monkeypatch):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        values = np.random.default_rng(1).random(40)
+        with pytest.raises(ValueError, match="degenerate reference ensemble"):
+            evolve(values, 1, WindowConfig(2, 1), RngConfig(0), ensemble=2)
+        if fork:
+            assert_reaped(fork_pids)
+
+    def test_child_without_result(self, fork_pids, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() == parent:  # would end the test run
+                raise AssertionError("the threshold ran in the calling process")
+            os._exit(3)
+
+        monkeypatch.setattr(lphvg.evolution, "threshold_from_random", die)
+        values = np.random.default_rng(2).random(200)
+        with pytest.raises(RuntimeError, match=r"without a result \(wait status 768\)"):
+            evolve(values, 1, WindowConfig(60, 20), RngConfig(0), ensemble=2)
+        series = tmp_path / "s.csv"
+        series.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        rc = main(["evolve", "--input", str(series), "--rho", "1", "--window-len", "60",
+                   "--step", "20", "--ensemble", "2", "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "runtime failure: RuntimeError: child process ended" in capsys.readouterr().err
+        assert len(fork_pids) == 2
+        assert_reaped(fork_pids)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_failure_leaves_no_child(self, error, fork_pids, monkeypatch):
+        def fail(graph):
+            raise error("parent side")
+
+        monkeypatch.setattr(lphvg.evolution, "mean_path_length", fail)
+        with pytest.raises(error, match="parent side"):
+            evolve(np.random.default_rng(3).random(2000), 2, WindowConfig(500, 100),
+                   RngConfig(0))
+        assert len(fork_pids) == 1
+        assert_reaped(fork_pids)
