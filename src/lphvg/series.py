@@ -1,8 +1,10 @@
-"""Core domain types: time series, seeded RNG configuration, CSV ingestion."""
+"""Core domain types: time series and seeded RNG configuration; CSV ingestion by
+one numpy parse, with a csv.reader walk for what numpy does not read in full."""
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,44 +80,15 @@ def _read_text(path: Path) -> str:
         raise ValueError(f"row {row}: {exc}") from None
 
 
-def _csv_rows(text: str, numbered: bool = False) -> list:
-    """csv.reader's rows of `text`, `numbered` as (last physical line, row); a
+def _csv_rows(buf: io.StringIO):
+    """Each csv.reader row of `buf` with the number of its last physical line; a
     csv.Error (a field past csv's size limit, say) becomes a ValueError naming its row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(buf)
     try:
-        return [(reader.line_num, row) for row in reader] if numbered else list(reader)
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ValueError(f"row {reader.line_num}: {exc}") from None
-
-
-def _plain_lines(text: str) -> list[str] | None:
-    """The lines of `text` when csv.reader would cut each at every "," alone, else None.
-
-    Plain means: no quote or NUL, one line ending throughout (LF, or CRLF as
-    `generate` writes), no empty line and no line longer than csv's field
-    size limit.
-    """
-    if '"' in text or "\0" in text:
-        return None
-    end = "\r\n" if "\r" in text else "\n"
-    if end == "\r\n" and not text.count("\r") == text.count("\n") == text.count(end):
-        return None  # a lone CR or LF
-    lines = text.split(end)
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or "" in lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    return lines
-
-
-def _loadtxt(lines: list[str], col_idx: int) -> np.ndarray | None:
-    """numpy's parse of one column of plain lines, or None unless it read every line."""
-    try:
-        values = np.loadtxt(lines, delimiter=",", usecols=col_idx, comments=None,
-                            dtype=np.float64, ndmin=1)
-    except ValueError:
-        return None
-    return values if values.size == len(lines) else None
 
 
 def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSeries:
@@ -123,28 +96,28 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
 
     `column` selects by zero-based index or, when `has_header` is set, by
     header name; other columns are ignored and a leading UTF-8 BOM is dropped.
-    numpy parses a plain file (`_plain_lines`); csv.reader parses any other
-    file and any plain file numpy does not read in full, and alone raises
-    parse errors. Both give each cell's `float(cell.strip())`. Row numbers in
-    errors are 1-based physical line numbers; a record whose quoted field
+    csv.reader reads the header and numpy the data rows. numpy's values stand
+    when there is one per physical line; otherwise (a blank line, a quoted
+    field spanning lines, a cell numpy cannot read) a csv.reader walk gives
+    each cell's `float(cell.strip())` or names the first bad row. Row numbers
+    in errors are 1-based physical line numbers; a record whose quoted field
     spans lines is named by its last line.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     text = _read_text(path)
-    lines = _plain_lines(text)
-    records = lines if lines is not None else _csv_rows(text)
+    buf = io.StringIO(text, newline="")
 
     header: list[str] | None = None
-    start = 0
+    start = 0  # the header's physical lines
     if has_header:
-        if not records:
+        start, first = next(_csv_rows(buf), (0, None))
+        if first is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        header = [c.strip() for c in (records[0] if lines is None else lines[0].split(","))]
-        start = 1
+        header = [c.strip() for c in first]
 
-    if isinstance(column, str) and column.lstrip("-").isdigit():
+    if isinstance(column, str) and column.removeprefix("-").isdecimal():
         column = int(column)
     if isinstance(column, str):
         if header is None:
@@ -157,31 +130,36 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
         if col_idx < 0:
             raise ValueError(f"column index must be >= 0, got {col_idx}")
 
-    if len(records) <= start:
+    # physical lines as csv.reader ends them: at LF, CRLF, a lone CR or the end of text
+    ends = text.count("\n") + ("\r" in text and text.count("\r") - text.count("\r\n"))
+    lines = ends + (text[-1:] not in ("\n", "\r", ""))
+    if lines <= start:
         raise ValueError(f"{path}: no data rows")
-    if lines is not None:
-        values = _loadtxt(lines[start:], col_idx)
-        if values is not None:
-            return TimeSeries(values)
-        records = _csv_rows(text)
     try:
-        values = np.array([float(row[col_idx].strip()) for row in records[start:]])
-    except (IndexError, ValueError):  # name the first bad row by its last physical line
-        for line_no, row in _csv_rows(text, numbered=True)[start:]:
-            if not row:
-                raise ValueError(f"row {line_no}: blank line") from None
-            if col_idx >= len(row):
-                raise ValueError(
-                    f"row {line_no}: only {len(row)} columns, need index {col_idx}"
-                ) from None
-            cell = row[col_idx].strip()
-            try:
-                float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"row {line_no}: cannot parse {cell!r} as a real number"
-                ) from None
-        raise
+        with warnings.catch_warnings():  # all data rows blank: the walk names the first
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(buf, delimiter=",", quotechar='"', usecols=col_idx,
+                                comments=None, ndmin=1)
+    except ValueError:
+        values = []
+    if len(values) == lines - start:
+        return TimeSeries(values)
+
+    buf.seek(0)
+    rows = _csv_rows(buf)
+    if has_header:
+        next(rows)
+    values = []
+    for line_no, row in rows:
+        if not row:
+            raise ValueError(f"row {line_no}: blank line")
+        if col_idx >= len(row):
+            raise ValueError(f"row {line_no}: only {len(row)} columns, need index {col_idx}")
+        cell = row[col_idx].strip()
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"row {line_no}: cannot parse {cell!r} as a real number") from None
     return TimeSeries(values)
 
 

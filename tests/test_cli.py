@@ -456,7 +456,7 @@ class TestParsing:
         ["evolve", "--rho", "1", "--window-len", "2", "--step", "1", "--outdir", "{tmp}/run"],
     ], ids=["build", "discriminate", "evolve"])
     @pytest.mark.parametrize("content, message", [
-        (f"1.0,note\n2.0,{'x' * (csv.field_size_limit() + 1)}\n".encode(),
+        (f"1.0,note\n{'x' * (csv.field_size_limit() + 1)},2.0\n".encode(),
          f"row 2: field larger than field limit ({csv.field_size_limit()})"),
         (b"1.0\n2.0\n\xff\n", "row 3: 'utf-8' codec can't decode byte 0xff in position 8"),
     ], ids=["cell-past-csv-limit", "undecodable-byte"])

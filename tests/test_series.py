@@ -109,6 +109,15 @@ def test_unknown_column_name(tmp_path):
         load_series(p, column="c", has_header=True)
 
 
+@pytest.mark.parametrize("column, expected", [("²", [1.0]), ("--1", [1.0]), ("١", [2.0])],
+                         ids=["superscript-two-name", "double-minus-name", "arabic-one-index"])
+def test_column_of_digits_not_decimal_is_a_name(tmp_path, column, expected):
+    # "١" is a decimal digit, so it selects index 1; "²" and "--1" are header names
+    p = tmp_path / "s.csv"
+    p.write_text(f"{column},x\n1,2\n")
+    assert load_series(p, column=column, has_header=True).values.tolist() == expected
+
+
 @pytest.mark.parametrize("column", [-1, "-1"], ids=["int", "str"])
 def test_negative_column_index_rejected(tmp_path, column):
     p = tmp_path / "s.csv"
@@ -128,26 +137,75 @@ def test_roundtrip_exact(tmp_path):
 
 
 def load_and_trace(path, column=0, has_header=False) -> tuple[np.ndarray, bool]:
-    """load_series' values, and whether numpy's parse gave them."""
-    results = []
-    parse = lphvg.series._loadtxt
+    """load_series' values, and whether numpy's parse gave them (no csv.reader walk ran)."""
+    calls = []
+    rows = lphvg.series._csv_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lphvg.series, "_loadtxt", lambda *args: results.append(parse(*args)) or results[-1])
+        mp.setattr(lphvg.series, "_csv_rows", lambda buf: calls.append(buf) or rows(buf))
         values = load_series(path, column=column, has_header=has_header).values
-    return values, bool(results) and results[0] is not None
+    return values, len(calls) == has_header  # the header's record alone
 
 
 def csv_reader_error(path, **kwargs) -> str:
-    """The message load_series raises for `path` when csv.reader parses every file."""
+    """The message load_series raises for `path` when numpy reads no file, so the walk runs."""
+    def refuse(*args, **options):
+        raise ValueError("numpy reads no file")
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lphvg.series, "_plain_lines", lambda text: None)
+        mp.setattr(lphvg.series.np, "loadtxt", refuse)
         with pytest.raises(ValueError) as exc:
             load_series(path, **kwargs)
     return str(exc.value)
 
 
+_pad = st.sampled_from(["", " ", "\t", "  "])
+_number = st.builds(lambda a, x, b: a + x + b, _pad, st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+    st.integers(-999, 999).map(str)), _pad)
+_cells = st.one_of(
+    _number, _number, _number,
+    _number.map(lambda x: f'"{x}"'),
+    st.sampled_from(["", " ", "\t ", "ab", 'x"y']),  # blank, whitespace-only, text, a bare quote
+    st.text(alphabet=' ,"\r\nab1.', max_size=6).map(lambda t: '"' + t.replace('"', '""') + '"'),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text, its header flag and a column selector: quoted cells holding "", commas,
+    CR, LF or CRLF; blank, whitespace-only and ragged rows; LF, CRLF, lone-CR or mixed
+    line ends; a header, perhaps spanning lines."""
+    width = draw(st.integers(1, 3))
+    col = draw(st.integers(0, width))  # `width` is past every full row
+    clean = draw(st.booleans())  # the selected column then holds only numbers
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if not clean and draw(st.integers(0, 9)) == 0:
+            rows.append([])  # a blank line
+            continue
+        size = draw(st.integers(col + 1 if clean else 1, max(width, col + 1)))
+        rows.append([draw(_number if clean and i == col else _cells) for i in range(size)])
+    header = draw(st.booleans())
+    if header:
+        names = [draw(st.sampled_from(["t", '"multi\nline"', '"a,b"', ""])) for _ in range(width)]
+        if col < width:
+            names[col] = "value"
+        rows.insert(0, names)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = [end] if end != "mixed" else draw(
+        st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1))
+    lines = [",".join(row) + ends[i % len(ends)] for i, row in enumerate(rows)]
+    if lines and draw(st.booleans()):  # no final line end
+        lines[-1] = ",".join(rows[-1])
+    text = "".join(lines)
+    by_name = header and col < width and draw(st.booleans())
+    return text, ("value" if by_name else col), header
+
+
 class TestTwoParses:
-    """numpy parses plain files, csv.reader the rest; both give the reference's bytes."""
+    """numpy reads every file and the csv.reader walk what numpy does not read in full;
+    both give the reference's bytes, and the walk alone names a bad row."""
 
     @pytest.mark.parametrize(
         "values", [series_values, monotone_values, plateau_values, sawtooth_values],
@@ -179,6 +237,38 @@ class TestTwoParses:
         assert by_numpy
         assert values.tobytes() == load_series_reference(p, "value", True).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(file=csv_files(), bom=st.booleans())
+    def test_one_parse_matches_the_reference_or_the_walk(self, tmp_path_factory, file, bom):
+        text, column, header = file
+        p = tmp_path_factory.mktemp("csv") / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        try:
+            values = load_series(p, column=column, has_header=header).values
+        except ValueError as exc:
+            assert str(exc) == csv_reader_error(p, column=column, has_header=header)
+        else:
+            assert values.tobytes() == load_series_reference(p, column, header).tobytes()
+
+    @pytest.mark.parametrize("text, kwargs, message", [
+        ("\n", {}, "row 1: blank line"),
+        ("\n\r\n\r", {}, "row 1: blank line"),
+        ("v\n\n", {"column": "v", "has_header": True}, "row 2: blank line"),
+        ("v\n", {"column": "v", "has_header": True}, "{path}: no data rows"),
+        ("v", {"column": "v", "has_header": True}, "{path}: no data rows"),
+        ("", {}, "{path}: no data rows"),
+    ])
+    def test_no_data_leaves_stderr_empty(self, tmp_path, capfd, text, kwargs, message):
+        # numpy warns "input contained no data" when every data row is blank
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                load_series(p, **kwargs)
+        assert str(exc.value) == message.format(path=p) == csv_reader_error(p, **kwargs)
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
     @pytest.mark.parametrize(
         "text, column",
@@ -205,11 +295,11 @@ class TestTwoParses:
         assert values.tobytes() == load_series_reference(p, column).tobytes()
 
     @pytest.mark.parametrize("text", ["1.5\r\n2.5\n", "1.5\n2.5\r\n", "1.5\r2.5\r", "1.5\r\n2.5\r"])
-    def test_mixed_or_lone_line_ends_go_to_csv_reader(self, tmp_path, text):
+    def test_mixed_or_lone_line_ends_read_by_numpy(self, tmp_path, text):
         p = tmp_path / "s.csv"
         p.write_bytes(text.encode())
         values, by_numpy = load_and_trace(p)
-        assert not by_numpy
+        assert by_numpy
         assert values.tobytes() == load_series_reference(p).tobytes()
 
     @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
@@ -223,7 +313,7 @@ class TestTwoParses:
             ("1.0,x\nozone,y\n4.0\n", {"column": 1}, "row 1: cannot parse 'x' as a real number"),
             ("v\n1.0\nozone\n", {"column": "v", "has_header": True},
              "row 3: cannot parse 'ozone' as a real number"),
-            # an empty line is never plain; a line of spaces is, and holds one empty cell
+            # numpy skips an empty line; a line of spaces holds one empty cell
             ("v\n1.0\n \n3.0\n", {"column": "v", "has_header": True},
              "row 3: cannot parse '' as a real number"),
             ("1_0\n1__0\n", {}, "row 2: cannot parse '1__0' as a real number"),
@@ -238,7 +328,6 @@ class TestTwoParses:
     )
     def test_plain_errors_match_csv_reader(self, tmp_path, text, kwargs, message, crlf):
         text = text.replace("\n", "\r\n" if crlf else "\n")
-        assert lphvg.series._plain_lines(text) is not None
         p = tmp_path / "s.csv"
         p.write_bytes(text.encode())
         with pytest.raises(ValueError) as exc:
@@ -260,12 +349,20 @@ class TestTwoParses:
         assert f"position {len(data) - 1 - len(end)}:" in str(exc.value)
 
     def test_field_past_csv_limit_goes_to_csv_reader(self, tmp_path):
-        # numpy would read column 0; csv.reader refuses the long note in column 1
+        # numpy cannot read the long cell in the selected column; csv.reader refuses it
         p = tmp_path / "s.csv"
-        p.write_text("1.0,note\n2.0," + "x" * (csv.field_size_limit() + 1) + "\n3.0,\n")
+        p.write_text("1.0,note\n" + "x" * (csv.field_size_limit() + 1) + ",2.0\n3.0,\n")
         limit = csv.field_size_limit()
         with pytest.raises(ValueError, match=rf"^row 2: field larger than field limit \({limit}\)$"):
             load_series(p)
+
+    def test_field_past_csv_limit_in_another_column_loads(self, tmp_path):
+        # numpy reads column 0 in full, so csv.reader never meets the long note in column 1
+        p = tmp_path / "s.csv"
+        p.write_text("1.0,note\n2.0," + "x" * (csv.field_size_limit() + 1) + "\n3.0,\n")
+        values, by_numpy = load_and_trace(p)
+        assert by_numpy
+        assert values.tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize(
