@@ -140,7 +140,7 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             values = np.loadtxt(buf, delimiter=",", quotechar='"', usecols=col_idx,
                                 comments=None, ndmin=1)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an index past a C ssize_t
         values = []
     if len(values) == lines - start:
         return TimeSeries(values)

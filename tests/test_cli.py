@@ -234,9 +234,7 @@ assert main(["verify", "--rho", "1", "--n", "600", "--seeds", "1",
     assert set(built) - set(parsed) == set()
     code += f"""
 main(["verify", "--rho", "1", "--n", "600", "--seeds", "3", "--outdir", {str(tmp_path)!r}])"""
-    loaded = scipy_modules_after(code)
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.stats"))]
+    assert scipy_modules_after(code) == []
 
 
 def test_iid_evolve_skips_scipy(tmp_path):
@@ -249,15 +247,21 @@ assert main(["evolve", "--input", {str(src)!r}, "--rho", "2", "--window-len", "3
     assert scipy_modules_after(code) == []
 
 
-def test_stdtrit_is_t_ppf_bit_for_bit():
-    from scipy.special import stdtrit
-    from scipy.stats import t
-
-    for df in range(1, 51):
-        for n_checked in range(1, 31):
-            p = 1.0 - 0.0005 / n_checked  # the quantiles verify_ensemble asks for
-            assert np.float64(stdtrit(df, p)).tobytes() == np.float64(t.ppf(p, df)).tobytes()
-            assert stdtrit(df, p) > 3  # so verify_ensemble needs no floor of 3 sigma
+def test_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    src = tmp_path / "s.csv"
+    src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(3).random(1200)))
+    modules_after(f"""import sys
+sys.modules["scipy"] = None
+from lphvg.cli import main
+assert main(["discriminate", "--input", {str(src)!r}, "--rho", "1",
+             "--out", {str(tmp_path / "v.json")!r}]) == 0
+assert main(["build", "--input", {str(src)!r}, "--rho", "1",
+             "--out", {str(tmp_path / "g.txt")!r}]) == 0
+assert main(["verify", "--rho", "1", "--n", "600", "--seeds", "3",
+             "--outdir", {str(tmp_path / "verify")!r}]) == 0
+assert main(["evolve", "--input", {str(src)!r}, "--rho", "2", "--window-len", "300",
+             "--step", "100", "--ensemble", "2", "--outdir", {str(tmp_path / "run")!r}]) == 0""")
 
 
 VERIFY_ARTIFACTS = ("pmf_vs_theory.csv", "finite_size.csv", "finite_size_summary.csv",
@@ -455,16 +459,19 @@ class TestParsing:
         ["discriminate", "--rho", "1", "--out", "{tmp}/v.json"],
         ["evolve", "--rho", "1", "--window-len", "2", "--step", "1", "--outdir", "{tmp}/run"],
     ], ids=["build", "discriminate", "evolve"])
-    @pytest.mark.parametrize("content, message", [
-        (f"1.0,note\n{'x' * (csv.field_size_limit() + 1)},2.0\n".encode(),
+    @pytest.mark.parametrize("content, flags, message", [
+        (f"1.0,note\n{'x' * (csv.field_size_limit() + 1)},2.0\n".encode(), [],
          f"row 2: field larger than field limit ({csv.field_size_limit()})"),
-        (b"1.0\n2.0\n\xff\n", "row 3: 'utf-8' codec can't decode byte 0xff in position 8"),
-    ], ids=["cell-past-csv-limit", "undecodable-byte"])
+        (b"1.0\n2.0\n\xff\n", [], "row 3: 'utf-8' codec can't decode byte 0xff in position 8"),
+        (b"1.0\n2.0\n3.0\n", ["--column", "99999999999999999999"],
+         "row 1: only 1 columns, need index 99999999999999999999"),
+    ], ids=["cell-past-csv-limit", "undecodable-byte", "column-past-ssize-t"])
     def test_unreadable_input_exits_1_naming_its_row(self, tmp_path, capsys, argv, content,
-                                                     message):
+                                                     flags, message):
         src = tmp_path / "s.csv"
         src.write_bytes(content)
-        rc = run([argv[0], "--input", str(src)] + [a.format(tmp=tmp_path) for a in argv[1:]])
+        rc = run([argv[0], "--input", str(src), *flags]
+                 + [a.format(tmp=tmp_path) for a in argv[1:]])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 

@@ -540,3 +540,32 @@ class TestDiscriminate:
         res = discriminate(ts, 1)
         payload = json.dumps(vars(res))
         assert "verdict" in payload
+
+
+class TestTQuantile:
+    """metrics._t_quantile at the p = 1 - 0.0005/n_checked that verify_ensemble asks for."""
+
+    P = [1.0 - 0.0005 / n_checked for n_checked in range(1, 31)]
+
+    def test_closed_forms_at_df_1_and_2(self):
+        for p in self.P:
+            # tan(pi(p - 1/2)), written as cot(pi(1 - p)): rounding pi(p - 1/2) near the
+            # pole would itself cost up to 2e-12 relative
+            cauchy = 1.0 / math.tan(math.pi * (1.0 - p))
+            assert lphvg.metrics._t_quantile(1, p) == pytest.approx(cauchy, rel=1e-12, abs=0)
+            two = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+            assert lphvg.metrics._t_quantile(2, p) == pytest.approx(two, rel=1e-12, abs=0)
+
+    def test_matches_stdtrit(self):
+        from scipy.special import stdtrit  # the oracle: scipy.stats.t.ppf's quantile
+
+        for df in [*range(1, 51), 99, 100, 250, 500, 999, 1000]:
+            for p in self.P:
+                expected = float(stdtrit(df, p))
+                assert lphvg.metrics._t_quantile(df, p) == pytest.approx(expected, rel=1e-11, abs=0)
+
+    def test_rises_with_p_above_3(self):
+        # above 3, so verify_ensemble needs no floor of 3 sigma
+        for df in [*range(1, 51), 1000]:
+            t = [lphvg.metrics._t_quantile(df, p) for p in self.P]
+            assert 3.0 < t[0] and all(a < b for a, b in zip(t, t[1:]))

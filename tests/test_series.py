@@ -126,6 +126,15 @@ def test_negative_column_index_rejected(tmp_path, column):
         load_series(p, column=column)
 
 
+@pytest.mark.parametrize("column", [2**63, "99999999999999999999"], ids=["int", "str"])
+def test_column_past_ssize_t_is_a_missing_column(tmp_path, column):
+    # numpy's usecols raises OverflowError past a C ssize_t; the walk names the row
+    p = tmp_path / "s.csv"
+    p.write_text("1.0\n2.0\n")
+    with pytest.raises(ValueError, match=f"row 1: only 1 columns, need index {column}"):
+        load_series(p, column=column)
+
+
 def test_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(5)
     vals = np.concatenate([rng.random(50), [0.1, 1 / 3, math.pi, 1e-300, 1e300]])
