@@ -9,6 +9,7 @@ fails).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -351,5 +352,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """Process entry: ``python -m lphvg.cli`` and the ``lphvg`` script.
+
+    The modules imported so far live until exit, so freezing them keeps both
+    the run's collections and the interpreter's exit from walking them.
+    ``main`` is the in-process API and leaves the collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

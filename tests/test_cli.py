@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import gc
 import importlib
 import json
 import math
@@ -16,7 +17,8 @@ import pytest
 import lphvg
 from lphvg.cli import build_parser, main
 
-README = Path(__file__).parents[1] / "README.md"
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
 
 
 def run(argv):
@@ -197,11 +199,15 @@ def reject_constant(token):
     raise ValueError(f"not strict JSON: {token}")
 
 
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's lphvg."""
+    return dict(os.environ, PYTHONPATH=str(Path(lphvg.__file__).parents[1]))
+
+
 def modules_after(code: str) -> list[str]:
     """The modules loaded in a fresh interpreter after running `code`."""
     code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(Path(lphvg.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -529,7 +535,7 @@ def readme_commands() -> list[list[str]]:
 
 def test_bench_imports_resolve():
     # tier-1 never runs the bench, so a library name it imports must not vanish unseen
-    bench, names = Path(__file__).parents[1] / "perfbench", 0
+    bench, names = ROOT / "perfbench", 0
     for script in ("layers.py", "smoke.py"):
         for node in ast.walk(ast.parse((bench / script).read_text())):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lphvg":
@@ -557,3 +563,68 @@ def test_readme_command_line_block(tmp_path, monkeypatch):
     assert len(artifacts) == 5
     for path in artifacts.values():
         assert (again / Path(path).name).read_bytes() == Path(path).read_bytes(), path
+
+
+# Each case runs as `python -m lphvg.cli` (through run(), which freezes the heap) and in
+# process through main(), from twin directories with relative paths: the exit code, stdout,
+# stderr and every file written must match byte for byte.
+PROCESS_CASES = {
+    "build": (["build", "--input", "s.csv", "--has-header", "--rho", "1", "--out", "g.txt"], 0),
+    "missing-input": (["build", "--input", "absent.csv", "--rho", "1", "--out", "g.txt"], 1),
+    "evolve": (["evolve", "--input", "s.csv", "--has-header", "--rho", "1", "--window-len", "100",
+                "--step", "50", "--ensemble", "2", "--outdir", "run"], 0),  # forks when frozen
+    "failing-verify": (["verify", "--rho", "1", "--n", "100", "--seeds", "10",
+                        "--outdir", "rep"], 1),
+}
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_process_entry_matches_main(tmp_path, monkeypatch, capsys, case):
+    argv, code = PROCESS_CASES[case]
+    here, there = tmp_path / "in_process", tmp_path / "process"
+    for d in (here, there):
+        d.mkdir()
+        (d / "s.csv").write_text("value\n" + "\n".join(
+            format(v, ".17g") for v in np.random.default_rng(4).random(600)) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "lphvg.cli", *argv], cwd=there, env=src_env(),
+                          capture_output=True, text=True)
+    monkeypatch.chdir(here)
+    assert main(argv) == proc.returncode == code
+    assert capsys.readouterr() == (proc.stdout, proc.stderr)
+    assert tree_bytes(here) == tree_bytes(there)
+    out, err = proc.stdout.splitlines(), proc.stderr.splitlines()
+    if case == "build":
+        assert out == ["built LPHVG: n=600 edges=2370 rho=1"] and err == []
+    elif case == "missing-input":
+        assert proc.stdout == "" and proc.stderr == "error: no such file: absent.csv\n"
+    elif case == "evolve":
+        assert len(out) == 1 and out[0].startswith("evolve: T=11 theta=") and err == []
+        assert len(tree_bytes(there)) == 7  # the series, five tables and the manifest
+    else:
+        assert len(out) == 1 and out[0].startswith("verify fail: rho=1 n=100 seeds=10 ")
+        assert err and all(line.startswith("FAIL: ") for line in err)
+
+
+def test_only_the_process_entry_freezes(tmp_path, monkeypatch):
+    from lphvg import cli
+
+    argv = ["discriminate", "--family", "uniform", "--n", "600", "--rho", "1",
+            "--out", str(tmp_path / "v.json")]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == 0  # neither the import nor main() touched the collector
+    monkeypatch.setattr(sys, "argv", ["lphvg", *argv])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_console_script_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")  # 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"lphvg": "lphvg.cli:run"}
