@@ -14,12 +14,13 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .evolution import WindowConfig, evolve
+from .evolution import DEFAULT_ENSEMBLE, WindowConfig, evolve
 from .generators import (
     FLOW_DEFAULT_INIT,
     FLOW_SYSTEMS,
@@ -35,14 +36,6 @@ from .generators import (
 from .graph import build_lphvg, check_adjacency_export, write_adjacency_csv, write_edge_list
 from .metrics import discriminate, verify_ensemble
 from .series import RngConfig, TimeSeries, load_series, write_series
-
-MAP_SYSTEMS = ("logistic", "henon")
-ALL_SYSTEMS = MAP_SYSTEMS + FLOW_SYSTEMS
-
-
-class CliError(ValueError):
-    """User-facing validation error; maps to exit code 1."""
-
 
 def _atomic_write(path: Path, writer) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -129,7 +122,7 @@ def _generate_series(args) -> TimeSeries:
         return gen_iid(spec)
     if args.system == "periodic":
         if args.period is None:
-            raise CliError("--period is required for --system periodic")
+            raise ValueError("--period is required for --system periodic")
         return gen_periodic(args.period, args.n, rng)
     g = rng.generator()
     if args.system == "logistic":
@@ -227,13 +220,13 @@ def cmd_replay(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
             and isinstance(manifest.get("artifacts"), dict)):
-        raise CliError("malformed manifest: need an object with subcommand, config and artifacts")
+        raise ValueError("malformed manifest: need an object with subcommand, config and artifacts")
     sub, artifacts = manifest.get("subcommand"), manifest["artifacts"]
     if not isinstance(sub, str) or sub not in _REPLAY_OUT:
-        raise CliError(f"cannot replay subcommand {sub!r}")
+        raise ValueError(f"cannot replay subcommand {sub!r}")
     key = _REPLAY_OUT[sub]
     if key is not None and key not in artifacts:
-        raise CliError(f"malformed manifest: no {key!r} artifact for {sub}")
+        raise ValueError(f"malformed manifest: no {key!r} artifact for {sub}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     argv = [sub] + _config_to_flags(manifest["config"])
@@ -254,7 +247,7 @@ def _config_to_flags(config: dict) -> list[str]:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; keep 1 for validation
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _add_input(p: argparse.ArgumentParser, source) -> None:
@@ -267,23 +260,23 @@ def _add_input(p: argparse.ArgumentParser, source) -> None:
 def _add_series_source(p: argparse.ArgumentParser, source, n_default: int | None = None):
     """--family/--system, on the required group `source`, and the generator settings."""
     source.add_argument("--family", choices=IID_FAMILIES)
-    source.add_argument("--system", choices=ALL_SYSTEMS + ("periodic",))
+    source.add_argument("--system", choices=("logistic", "henon") + FLOW_SYSTEMS + ("periodic",))
     p.add_argument("--n", type=int, required=n_default is None, default=n_default)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--mean", type=float, default=0.0)
-    p.add_argument("--sd", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=2.5)
-    p.add_argument("--xmin", type=float, default=1.0)
+    p.add_argument("--stream", type=int, default=RngConfig.stream_id)
+    p.add_argument("--mean", type=float, default=IidSpec.mean)
+    p.add_argument("--sd", type=float, default=IidSpec.sd)
+    p.add_argument("--alpha", type=float, default=IidSpec.alpha)
+    p.add_argument("--xmin", type=float, default=IidSpec.xmin)
     p.add_argument("--period", type=int)
     p.add_argument("--x0", type=float)
     p.add_argument("--y0", type=float)
     p.add_argument("--mu", type=float, default=4.0)
     p.add_argument("--init", type=str, help="comma-separated initial state for flows")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--transient", type=int, default=10_000)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--component", type=int, default=0)
+    p.add_argument("--dt", type=float, default=FlowSpec.dt)
+    p.add_argument("--transient", type=int, default=FlowSpec.transient)
+    p.add_argument("--stride", type=int, default=FlowSpec.stride)
+    p.add_argument("--component", type=int, default=FlowSpec.component)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-len", type=int, required=True)
     p.add_argument("--step", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ensemble", type=int, default=10)
+    p.add_argument("--ensemble", type=int, default=DEFAULT_ENSEMBLE)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_evolve)
 
@@ -343,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             FileExistsError, PermissionError) as exc:  # other OSErrors (a full disk) exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -356,10 +349,12 @@ def run() -> int:
     """Process entry: ``python -m lphvg.cli`` and the ``lphvg`` script.
 
     The modules imported so far live until exit, so freezing them keeps both
-    the run's collections and the interpreter's exit from walking them.
-    ``main`` is the in-process API and leaves the collector alone.
+    the run's collections and the interpreter's exit from walking them. A
+    warning prints as one ``warning: <message>`` line, without a source path.
+    ``main`` is the in-process API and leaves the collector and warnings alone.
     """
     gc.freeze()
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     return main()
 
 

@@ -187,14 +187,17 @@ class EvolutionResult:
 def _in_child(fn, *args):
     """Run fn(*args) in a forked child during the with-block, which gets a function that waits:
     it returns fn's value or re-raises its exception (pickled down a pipe), or raises RuntimeError
-    if the child died without either. A block that raises kills and reaps the child. Without
-    os.fork, fn runs in process. Python 3.12+ warns of a fork with threads, and numpy's OpenBLAS
-    pool is one: fn must call no BLAS routine and import nothing; the threshold does neither."""
-    if not hasattr(os, "fork"):
+    if the child died without either. A block that raises kills and reaps the child. Where os.fork
+    is missing or fails, fn runs in process. Python 3.12+ warns of a fork with threads (numpy's
+    OpenBLAS pool): fn must call no BLAS routine and import nothing; the threshold does neither."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork (Windows), or EAGAIN/ENOMEM
+        os.close(read), os.close(write)
         yield lambda: fn(*args)
         return
-    read, write = os.pipe()
-    if (pid := os.fork()) == 0:  # the child: never returns into the caller's stack
+    if pid == 0:  # the child: never returns into the caller's stack
         try:
             os.write(write, pickle.dumps((True, fn(*args))))
         except BaseException as exc:
@@ -247,12 +250,13 @@ def evolve(
         )
         dist = _code_distances(codes, cfg.window_len ** 2)
         theta = threshold()
+    gamma = correlation_index(dist, theta)
     return EvolutionResult(
         window_count=len(windows),
         windows=tuple(windows),
         per_window=per_window,
         distances=dist,
         theta=theta,
-        gamma=correlation_index(dist, theta),
-        recurrence=recurrence_matrix(dist, theta),
+        gamma=gamma,
+        recurrence=(gamma > 0).astype(np.int8),  # = recurrence_matrix(dist, theta)
     )

@@ -176,12 +176,9 @@ def long_visibility_prob_classic(rho: int, sep: int) -> float:
 
     Kept for comparison; exact only for rho in {0, 1}.
     """
-    rho = validate_rho(rho)
-    sep = int(sep)
-    if sep < 1:
-        raise ValueError(f"sep must be >= 1, got {sep}")
-    if sep <= rho + 1:
+    if long_visibility_prob(rho, sep) == 1.0:  # exactly in the band; checks rho and sep too
         return 1.0
+    rho, sep = int(rho), int(sep)
     return min(1.0, (2 * rho * (rho + 1) + 2) / (sep * (sep + 1.0)))
 
 

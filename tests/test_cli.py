@@ -3,6 +3,7 @@ import ast
 import csv
 import gc
 import importlib
+import inspect
 import json
 import math
 import os
@@ -61,10 +62,19 @@ class TestGenerate:
         assert "mu must lie in (0, 4], got 5.0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_periodic_requires_period(self, tmp_path):
+    def test_periodic_requires_period(self, tmp_path, capsys):
         rc = run(["generate", "--system", "periodic", "--n", "100",
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+        assert capsys.readouterr().err == "error: --period is required for --system periodic\n"
+
+    def test_periodic_writes_gen_periodic(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run(["generate", "--system", "periodic", "--period", "7", "--n", "100",
+                    "--seed", "3", "--stream", "2", "--out", str(out)]) == 0
+        expected = lphvg.gen_periodic(7, 100, lphvg.RngConfig(3, 2)).values
+        assert lphvg.load_series(out, column="value", has_header=True).values.tobytes() == (
+            expected.tobytes())
 
 
 class TestBuild:
@@ -185,6 +195,21 @@ class TestDiscriminate:
         assert run(["discriminate", "--input", str(src), "--rho", "0", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["verdict"] == "deviating"
 
+    def test_no_usable_bins_exits_1(self, tmp_path, capsys):
+        values = np.random.default_rng(0).random(20)
+        message = "series too short for the degree-law test: no usable bins"
+        with pytest.warns(UserWarning, match="soft floor"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                lphvg.discriminate(values, 1)
+        src = tmp_path / "s.csv"
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        out = tmp_path / "v.json"
+        with pytest.warns(UserWarning, match="soft floor"):
+            rc = run(["discriminate", "--input", str(src), "--rho", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_input_and_generator_conflict(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
         src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(0).random(600)))
@@ -270,6 +295,29 @@ assert main(["evolve", "--input", {str(src)!r}, "--rho", "2", "--window-len", "3
              "--step", "100", "--ensemble", "2", "--outdir", {str(tmp_path / "run")!r}]) == 0""")
 
 
+def dropping(drop):
+    """build_lphvg less the edges (i, j) for which drop(i, j, rho) holds."""
+    def build(series, rho):
+        g = lphvg.build_lphvg(series, rho)
+        i, j = np.divmod(g.edge_codes, g.n)
+        return lphvg.VisibilityGraph(g.n, g.rho, g.edge_codes[~drop(i, j, rho)])
+    return build
+
+
+# builders that break one law each, and the failure lines verify(rho 1, n 3000, 10 seeds) gives
+BROKEN_BUILDS = {
+    "no-sep-rho+2": (lambda i, j, rho: j - i == rho + 2, [
+        "mean degree 6.968 deviates 12.896% from 8.0",
+        "coverage 0.2428 outside iid band (0.76, 0.835)",
+    ]),
+    "even-sep-rho+2": (lambda i, j, rho: (j - i == rho + 2) & (i % 2 == 0), [
+        "link frequency at sep=3: 0.24785 vs 0.50000 (bound 7.5*se = 0.01057)",
+    ]),
+    "no-edge-0-1": (lambda i, j, rho: (i == 0) & (j == 1), [
+        "band link frequency at sep=1 is 0.999666555518506 != 1",
+    ]),
+}
+
 VERIFY_ARTIFACTS = ("pmf_vs_theory.csv", "finite_size.csv", "finite_size_summary.csv",
                     "coverage.csv", "long_distance.csv", "theory_table.csv", "manifest.json")
 
@@ -325,6 +373,29 @@ class TestVerify:
             "long_distance.csv"][1]}
         assert rows[21][2] == 0.0  # not the std(ddof=1) residue 1.2e-18
         assert all(se == 0.0 or se > 1e-6 for _, _, se, _, _ in rows.values())
+
+    @pytest.mark.parametrize("case", BROKEN_BUILDS)
+    def test_broken_builder_fails(self, monkeypatch, case):
+        drop, lines = BROKEN_BUILDS[case]
+        monkeypatch.setattr(lphvg.metrics, "build_lphvg", dropping(drop))
+        failures = lphvg.verify_ensemble(1, 3000, 10).failures
+        pmf = [line for line in failures if line.startswith("pmf E(k=")]
+        if case == "no-sep-rho+2":
+            assert len(pmf) == 11 and failures[len(pmf):] == lines
+        elif case == "even-sep-rho+2":
+            assert pmf and failures[-1:] == lines
+        else:
+            assert failures == lines
+
+    def test_broken_builder_exits_1(self, tmp_path, monkeypatch, capsys):
+        drop, lines = BROKEN_BUILDS["no-edge-0-1"]
+        monkeypatch.setattr(lphvg.metrics, "build_lphvg", dropping(drop))
+        rc = run(["verify", "--rho", "1", "--n", "3000", "--seeds", "10",
+                  "--outdir", str(tmp_path / "rep")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("verify fail: rho=1 n=3000 seeds=10 ")
+        assert err == "".join(f"FAIL: {line}\n" for line in lines)
 
     def test_rho3_no_band_still_runs(self, tmp_path):
         outdir = tmp_path / "rep3"
@@ -428,6 +499,13 @@ class TestEvolveAndReplay:
         assert rc == 1
         assert "'graph' artifact" in capsys.readouterr().err
 
+    def test_manifest_of_replay_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "replay", "config": {}, "artifacts": {}}))
+        rc = run(["replay", "--manifest", str(manifest), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cannot replay subcommand 'replay'\n"
+
     def test_window_validation_error(self, tmp_path):
         series = tmp_path / "s.csv"
         run(["generate", "--family", "uniform", "--n", "100", "--seed", "1",
@@ -520,6 +598,33 @@ def test_manifest_config_is_every_parsed_argument(tmp_path):
         verdict = json.loads((tmp_path / name).read_text())
         assert verdict["config"] == json.loads(
             (tmp_path / f"{name}.manifest.json").read_text())["config"]
+
+
+def test_defaults_are_the_library_defaults():
+    iid, flow = lphvg.IidSpec("uniform", 2, lphvg.RngConfig(0)), lphvg.FlowSpec("lorenz", 2)
+    library = {"stream": iid.rng.stream_id, "mean": iid.mean, "sd": iid.sd, "alpha": iid.alpha,
+               "xmin": iid.xmin, "dt": flow.dt, "transient": flow.transient,
+               "stride": flow.stride, "component": flow.component}
+    for argv in (["generate", "--family", "uniform", "--n", "2", "--out", "s.csv"],
+                 ["discriminate", "--family", "uniform", "--rho", "1", "--out", "v.json"]):
+        config = vars(build_parser().parse_args(argv))
+        # the manifest's bytes: 0 and 0.0 would differ there
+        assert json.dumps({k: config[k] for k in library}) == json.dumps(library), argv
+    argv = ["evolve", "--input", "s.csv", "--rho", "1", "--window-len", "2", "--step", "1",
+            "--outdir", "run"]
+    ensemble = inspect.signature(lphvg.evolve).parameters["ensemble"].default
+    assert vars(build_parser().parse_args(argv))["ensemble"] == ensemble
+
+
+def test_process_entry_prints_a_warning_as_one_line(tmp_path):
+    src = tmp_path / "s.csv"
+    src.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(0).random(400).tolist()))
+    proc = subprocess.run([sys.executable, "-m", "lphvg.cli", "discriminate", "--input", "s.csv",
+                           "--rho", "1", "--out", "v.json"], cwd=tmp_path, env=src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: series length 400 is below the statistical soft floor of "
+                           "500; the verdict may be unreliable\n")
 
 
 def readme_commands() -> list[list[str]]:

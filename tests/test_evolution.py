@@ -81,6 +81,8 @@ class TestWindows:
             WindowConfig(100, 0)
         with pytest.raises(ValueError):
             WindowConfig(100, 100)
+        with pytest.raises(ValueError, match="window_len must be >= 2, got 1"):
+            WindowConfig(1, 1)
 
 
 class TestGraphDistance:
@@ -420,6 +422,34 @@ class TestThresholdChild:
         monkeypatch.delattr(os, "fork")
         assert_same_result(evolve(*args, ensemble=3), forked)
         assert len(fork_pids) == 1
+
+    def test_failing_fork_runs_in_process(self, fork_pids, monkeypatch, tmp_path):
+        values = self.CASES["uniform"]
+        args = (values, 2, WindowConfig(80, 40), RngConfig(7))
+        series = tmp_path / "s.csv"
+        series.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        argv = ["evolve", "--input", str(series), "--rho", "2", "--window-len", "80",
+                "--step", "40", "--seed", "7", "--ensemble", "3", "--outdir"]
+        forked = evolve(*args, ensemble=3)
+        assert main(argv + [str(tmp_path / "forked")]) == 0
+        assert len(fork_pids) == 2
+        assert_reaped(fork_pids)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        proc = os.path.isdir("/proc/self/fd")
+        open_fds = len(os.listdir("/proc/self/fd")) if proc else None
+        assert_same_result(evolve(*args, ensemble=3), forked)
+        if proc:  # both ends of the pipe are closed
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert main(argv + [str(tmp_path / "in_process")]) == 0
+        for name in ("distances.csv", "gamma.csv", "recurrence.csv", "window_metrics.csv",
+                     "theta.txt"):
+            assert (tmp_path / "in_process" / name).read_bytes() == (
+                tmp_path / "forked" / name).read_bytes()
+        assert len(fork_pids) == 2
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
     def test_degenerate_reference_raises_value_error(self, fork, fork_pids, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,19 @@ class TestFlows:
         assert np.array_equal(d, np.zeros(3))
         with pytest.raises(ValueError, match="fixed point"):
             FlowSpec("lorenz", 100, init=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(system="nope"), "system must be one of ('lorenz', 'energy'), got 'nope'"),
+        (dict(n=1), "n must be >= 2, got 1"),
+        (dict(dt=0.0), "dt must be > 0, got 0.0"),
+        (dict(transient=-1), "transient must be >= 0, got -1"),
+        (dict(stride=0), "stride must be >= 1, got 0"),
+        (dict(component=3), "component must be 0, 1 or 2, got 3"),
+        (dict(init=(1.0, 2.0)), "init must have exactly 3 components"),
+    ], ids=["system", "n", "dt", "transient", "stride", "component", "init"])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FlowSpec(**{"system": "lorenz", "n": 100, **kwargs})
 
     def test_lorenz_bounded(self):
         ts = gen_flow(FlowSpec("lorenz", 3000))

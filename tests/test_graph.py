@@ -91,6 +91,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_lphvg([1, 2, 3], -1)
 
+    @pytest.mark.parametrize("rho, name", [(1.5, "float"), (True, "bool"), ("2", "str")])
+    def test_non_integer_rho(self, rho, name):
+        with pytest.raises(TypeError, match=f"rho must be an integer, got {name}"):
+            build_lphvg([1, 2, 3], rho)
+
     def test_accepts_timeseries(self):
         g = build_lphvg(TimeSeries([3, 1, 2, 4]), 1)
         assert g.edge_count == 6

@@ -266,6 +266,7 @@ class TestTwoParses:
         ("v\n", {"column": "v", "has_header": True}, "{path}: no data rows"),
         ("v", {"column": "v", "has_header": True}, "{path}: no data rows"),
         ("", {}, "{path}: no data rows"),
+        ("", {"has_header": True}, "{path}: empty file, expected a header row"),
     ])
     def test_no_data_leaves_stderr_empty(self, tmp_path, capfd, text, kwargs, message):
         # numpy warns "input contained no data" when every data row is blank

@@ -248,6 +248,20 @@ class TestLongVisibility:
     def test_sep_validation(self):
         with pytest.raises(ValueError):
             long_visibility_prob(0, 0)
+        for law in (long_visibility_prob, long_visibility_prob_classic):
+            with pytest.raises(ValueError, match="^sep must be >= 1, got 0$"):
+                law(3, 0)
+            with pytest.raises(ValueError, match="^rho must be >= 0, got -1$"):
+                law(-1, 5)
+            with pytest.raises(TypeError, match="^rho must be an integer, got float$"):
+                law(1.0, 5)
+
+    def test_classic_returns_python_floats(self):
+        for rho, sep in ((np.int64(1), 1), (2, np.int64(7)), (np.int64(6), 8.9)):
+            value = long_visibility_prob_classic(rho, sep)
+            assert type(value) is float
+            assert value == long_visibility_prob_classic(int(rho), int(sep))
+        assert long_visibility_prob_classic(np.int64(2), 8.9) == 14 / 72
 
     def test_clamped(self):
         assert long_visibility_prob_classic(5, 7) == 1.0
