@@ -225,8 +225,8 @@ def cmd_replay(args) -> int:
     if not isinstance(sub, str) or sub not in _REPLAY_OUT:
         raise ValueError(f"cannot replay subcommand {sub!r}")
     key = _REPLAY_OUT[sub]
-    if key is not None and key not in artifacts:
-        raise ValueError(f"malformed manifest: no {key!r} artifact for {sub}")
+    if key is not None and not isinstance(artifacts.get(key), str):
+        raise ValueError(f"malformed manifest: no {key!r} artifact path for {sub}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     argv = [sub] + _config_to_flags(manifest["config"])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,42 +184,32 @@ class EvolutionResult:
 
 @contextlib.contextmanager
 def _in_child(fn, *args):
-    """Run fn(*args) in a forked child during the with-block, which gets a function that waits:
-    it returns fn's value or re-raises its exception (pickled down a pipe), or raises RuntimeError
-    if the child died without either. A block that raises kills and reaps the child. Where os.fork
-    is missing or fails, fn runs in process. Python 3.12+ warns of a fork with threads (numpy's
+    """Run fn(*args) in a forked child during the with-block, which gets a function that waits: it
+    reads the pipe to EOF, where the child wrote its float's hex in one write. No bytes (no fork, a
+    failed one, a child that raised or died) run fn(*args) in process, exact as fn is deterministic.
+    The block's exit kills and reaps the child. Python 3.12+ warns of a fork with threads (numpy's
     OpenBLAS pool): fn must call no BLAS routine and import nothing; the threshold does neither."""
     read, write = os.pipe()
     try:
         pid = os.fork()
     except (AttributeError, OSError):  # no os.fork (Windows), or EAGAIN/ENOMEM
-        os.close(read), os.close(write)
-        yield lambda: fn(*args)
-        return
+        pid = None
     if pid == 0:  # the child: never returns into the caller's stack
         try:
-            os.write(write, pickle.dumps((True, fn(*args))))
-        except BaseException as exc:
-            os.write(write, pickle.dumps((False, exc)))
+            os.write(write, fn(*args).hex().encode())
         finally:
             os._exit(0)
     os.close(write)
-    status = None
     def wait():
-        nonlocal status
-        data, status = pipe.read(), os.waitpid(pid, 0)[1]
-        if status or not data:
-            raise RuntimeError(f"child process ended without a result (wait status {status})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
+        data = pipe.read()
+        return float.fromhex(data.decode()) if data else fn(*args)
     with open(read, "rb") as pipe:
         try:
             yield wait
         finally:
-            if status is None:  # not waited for: leave no child behind
-                os.kill(pid, 9)  # SIGKILL, without loading the signal module
+            if pid:  # a child that has exited is a zombie until reaped: macOS refuses its kill
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, 9)  # SIGKILL, without loading the signal module
                 os.waitpid(pid, 0)
 
 

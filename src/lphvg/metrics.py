@@ -286,10 +286,12 @@ def clustering_coverage(graph: VisibilityGraph) -> float:
     span = slice(rho + 1, graph.n - rho - 1)
     c = _clustering(graph)[span]
     ks, inverse = np.unique(graph.degrees()[span], return_inverse=True)
+    below = ks < 2 * (rho + 1)  # no LPHVG has such an interior node: it counts as outside
+    ks = np.maximum(ks, 2 * (rho + 1)).tolist()
     unvalidated = rho > theory.CLUSTERING_RHO_MAX
-    lo = np.array([theory.clustering_min(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
-    hi = np.array([theory.clustering_max(rho, k, unvalidated=unvalidated) for k in ks.tolist()])
-    outside = (c < lo[inverse] - COVERAGE_TOL) | (c > hi[inverse] + COVERAGE_TOL)
+    lo = np.array([theory.clustering_min(rho, k, unvalidated=unvalidated) for k in ks])
+    hi = np.array([theory.clustering_max(rho, k, unvalidated=unvalidated) for k in ks])
+    outside = below[inverse] | (c < lo[inverse] - COVERAGE_TOL) | (c > hi[inverse] + COVERAGE_TOL)
     return (c.size - int(outside.sum())) / c.size
 
 

@@ -316,6 +316,14 @@ BROKEN_BUILDS = {
     "no-edge-0-1": (lambda i, j, rho: (i == 0) & (j == 1), [
         "band link frequency at sep=1 is 0.999666555518506 != 1",
     ]),
+    "no-sep-1": (lambda i, j, rho: j - i == 1, [  # interior nodes below degree 2(rho+1)
+        f"pmf E(k={k}) = {e} >= 0.150" for k, e in enumerate(
+            "0.348 0.375 0.356 0.356 0.355 0.354 0.376 0.394 0.355 0.305 0.362 0.399".split(), 4)
+    ] + [
+        "mean degree 5.966 deviates 25.422% from 8.0",
+        "coverage 0.1540 outside iid band (0.76, 0.835)",
+        "band link frequency at sep=1 is 0.0 != 1",
+    ]),
 }
 
 VERIFY_ARTIFACTS = ("pmf_vs_theory.csv", "finite_size.csv", "finite_size_summary.csv",
@@ -396,6 +404,11 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out.startswith("verify fail: rho=1 n=3000 seeds=10 ")
         assert err == "".join(f"FAIL: {line}\n" for line in lines)
+
+    def test_builder_without_sep_1_gets_a_discriminate_verdict(self, monkeypatch):
+        monkeypatch.setattr(lphvg.metrics, "build_lphvg", dropping(BROKEN_BUILDS["no-sep-1"][0]))
+        series = lphvg.gen_iid(lphvg.IidSpec("uniform", 3000, lphvg.RngConfig(0)))
+        assert lphvg.discriminate(series, 1).verdict == "deviating"
 
     def test_rho3_no_band_still_runs(self, tmp_path):
         outdir = tmp_path / "rep3"
@@ -490,14 +503,18 @@ class TestEvolveAndReplay:
         assert rc == 1
         assert "malformed manifest" in capsys.readouterr().err
 
-    def test_manifest_missing_artifact_key_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("artifacts", [{"series": "x"}, {"graph": 5}, {"graph": ["g.txt"]}],
+                             ids=["missing", "int", "list"])
+    def test_manifest_missing_artifact_key_exits_1(self, tmp_path, capsys, artifacts):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(
-            {"subcommand": "build", "config": {}, "artifacts": {"series": "x"}}
+            {"subcommand": "build", "config": {}, "artifacts": artifacts}
         ))
         rc = run(["replay", "--manifest", str(manifest), "--outdir", str(tmp_path / "o")])
         assert rc == 1
-        assert "'graph' artifact" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: malformed manifest: no 'graph' artifact path for build\n")
+        assert not (tmp_path / "o").exists()
 
     def test_manifest_of_replay_exits_1(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

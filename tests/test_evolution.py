@@ -15,6 +15,7 @@ from lphvg import (
     evolve,
     gen_iid,
     gen_logistic,
+    gen_periodic,
     graph_distance,
     make_windows,
     mean_degree_empirical,
@@ -330,6 +331,20 @@ class TestEvolve:
         assert np.all(res.gamma == 1.0)
         assert np.all(res.recurrence == 1)
 
+    def test_same_phase_windows_recur(self):
+        # windows whose starts differ by a multiple of the period hold the same
+        # values, so the same graph: exact, whatever theta is
+        res = evolve(gen_periodic(20, 2000, RngConfig(3)), 2, WindowConfig(200, 10),
+                     RngConfig(0), ensemble=2)
+        starts = np.array([a for a, _ in res.windows])
+        same = (starts[:, None] - starts[None, :]) % 20 == 0
+        assert res.window_count == 181
+        assert np.all(res.distances[same] == 0)
+        assert np.all(res.gamma[same] == 1.0) and np.all(res.recurrence[same] == 1)
+        # as measured at this seed: theta 36.99, and the closest pair out of
+        # phase at 39.1, so the recurrence is the same-phase mask
+        assert np.array_equal(res.recurrence, same.astype(np.int8))
+
     def test_deterministic_replay(self):
         ts = gen_iid(IidSpec("uniform", 300, RngConfig(12)))
         a = evolve(ts, 1, WindowConfig(80, 40), RngConfig(1), ensemble=2)
@@ -423,7 +438,9 @@ class TestThresholdChild:
         assert_same_result(evolve(*args, ensemble=3), forked)
         assert len(fork_pids) == 1
 
-    def test_failing_fork_runs_in_process(self, fork_pids, monkeypatch, tmp_path):
+    def assert_broken_child_runs_in_process(self, fork_pids, monkeypatch, tmp_path, *patch):
+        """evolve and the CLI, after monkeypatch.setattr(*patch) breaks the child, give the
+        forked run's result and five tables, and leave no descriptor open."""
         values = self.CASES["uniform"]
         args = (values, 2, WindowConfig(80, 40), RngConfig(7))
         series = tmp_path / "s.csv"
@@ -435,10 +452,7 @@ class TestThresholdChild:
         assert len(fork_pids) == 2
         assert_reaped(fork_pids)
 
-        def fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(*patch)
         proc = os.path.isdir("/proc/self/fd")
         open_fds = len(os.listdir("/proc/self/fd")) if proc else None
         assert_same_result(evolve(*args, ensemble=3), forked)
@@ -449,7 +463,27 @@ class TestThresholdChild:
                      "theta.txt"):
             assert (tmp_path / "in_process" / name).read_bytes() == (
                 tmp_path / "forked" / name).read_bytes()
+
+    def test_failing_fork_runs_in_process(self, fork_pids, monkeypatch, tmp_path):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        self.assert_broken_child_runs_in_process(fork_pids, monkeypatch, tmp_path, os, "fork", fork)
         assert len(fork_pids) == 2
+
+    def test_silent_child_runs_in_process(self, fork_pids, monkeypatch, tmp_path):
+        parent, real = os.getpid(), threshold_from_random
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)  # sends nothing
+            return real(*args)
+
+        self.assert_broken_child_runs_in_process(fork_pids, monkeypatch, tmp_path,
+                                                 lphvg.evolution, "threshold_from_random",
+                                                 die_in_child)
+        assert len(fork_pids) == 4
+        assert_reaped(fork_pids)
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
     def test_degenerate_reference_raises_value_error(self, fork, fork_pids, monkeypatch):
@@ -460,27 +494,6 @@ class TestThresholdChild:
             evolve(values, 1, WindowConfig(2, 1), RngConfig(0), ensemble=2)
         if fork:
             assert_reaped(fork_pids)
-
-    def test_child_without_result(self, fork_pids, monkeypatch, tmp_path, capsys):
-        parent = os.getpid()
-
-        def die(*args):
-            if os.getpid() == parent:  # would end the test run
-                raise AssertionError("the threshold ran in the calling process")
-            os._exit(3)
-
-        monkeypatch.setattr(lphvg.evolution, "threshold_from_random", die)
-        values = np.random.default_rng(2).random(200)
-        with pytest.raises(RuntimeError, match=r"without a result \(wait status 768\)"):
-            evolve(values, 1, WindowConfig(60, 20), RngConfig(0), ensemble=2)
-        series = tmp_path / "s.csv"
-        series.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-        rc = main(["evolve", "--input", str(series), "--rho", "1", "--window-len", "60",
-                   "--step", "20", "--ensemble", "2", "--outdir", str(tmp_path / "run")])
-        assert rc == 2
-        assert "runtime failure: RuntimeError: child process ended" in capsys.readouterr().err
-        assert len(fork_pids) == 2
-        assert_reaped(fork_pids)
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_parent_failure_leaves_no_child(self, error, fork_pids, monkeypatch):
