@@ -143,7 +143,8 @@ def _shortest_paths(graph: VisibilityGraph, sources: np.ndarray) -> np.ndarray:
 
     data = np.ones(graph.indices.size, dtype=np.int64)
     adj = sparse.csr_array((data, graph.indices, graph.indptr), shape=(graph.n, graph.n))
-    return shortest_path(adj, method="D", unweighted=True, directed=False, indices=sources)
+    # the CSR lists both directions of every edge, so it is already the directed graph
+    return shortest_path(adj, method="D", unweighted=True, directed=True, indices=sources)
 
 
 def mean_path_length(graph: VisibilityGraph) -> float:
@@ -394,38 +395,22 @@ def discriminate(series, rho: int) -> DiscriminationResult:
     )
 
 
-def _t_quantile(df: int, p: float) -> float:
-    """Student's t quantile at an integer df >= 1, for 0.9995 <= p <= 1 - 1e-6.
+def _t_tail(df: int, t: float) -> float:
+    """Student's two-sided t tail P(|T| > t) at an integer df >= 1 and t >= 0.
 
-    Newton's method in log t on the two-sided tail P(|T| > t) = 2(1 - p), the
-    finite series in y = cos^2(theta) = df / (df + t^2) of Abramowitz & Stegun
-    26.7.3-26.7.4 (Hill, CACM 13, 1970). The tail's rounding error keeps the
-    result within about 2e-12 relative of the exact quantile for df <= 1000.
+    The finite series in y = cos^2(theta) = df / (df + t^2) of Abramowitz &
+    Stegun 26.7.3-26.7.4 (Hill, CACM 13, 1970), by Horner's rule. The rounding
+    of y, raised to powers up to df/2, sets its error: about 1.2e-17 * df absolute.
     """
     odd = df % 2
-    coefs, c = [], 1.0  # the series' coefficients of y^k, 1 <= k < df // 2
-    for k in range(1, df // 2):
-        c *= (2 * k - 1 + odd) / (2 * k + odd)
-        coefs.append(c)
-    coefs.reverse()
-    log_norm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
-    target, t = 2.0 * (1.0 - p), 3.0
-    for _ in range(50):  # at most 6 steps in the stated domain, df <= 1000
-        y, rest = df / (df + t * t), 0.0  # rest: the series after its first term
-        for c in coefs:
-            rest = (rest + c) * y
-        if odd:  # (2/pi)(pi/2 - theta - sin cos series); df = 1 has no series
-            tail = 2 / math.pi * (math.atan(math.sqrt(df) / t)
-                                  - (df > 1) * (1 + rest) * t * math.sqrt(df) / (df + t * t))
-        else:  # 1 - sin series, with 1 - sin(theta) = y / (1 + sin(theta))
-            s = t / math.sqrt(df + t * t)
-            tail = y / (1 + s) - s * rest
-        density = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
-        step = math.log(tail / target) * tail / (2 * t * density)
-        t *= math.exp(step)
-        if abs(step) < 1e-8:  # quadratic convergence: t now carries only the tail's rounding
-            break
-    return t
+    y, rest = df / (df + t * t), 0.0  # rest: the series after its first term, nested
+    for k in range(df // 2 - 1, 0, -1):  # as r_1 y (1 + r_2 y (1 + ...)), inside out
+        rest = (2 * k - 1 + odd) / (2 * k + odd) * y * (1 + rest)
+    if odd:  # (2/pi)(pi/2 - theta - sin cos series); df = 1 has no series
+        return 2 / math.pi * (math.atan2(math.sqrt(df), t)
+                              - (df > 1) * (1 + rest) * t * math.sqrt(df) / (df + t * t))
+    s = t / math.sqrt(df + t * t)  # 1 - sin series, with 1 - sin(theta) = y / (1 + sin(theta))
+    return y / (1 + s) - s * rest
 
 
 @dataclass(frozen=True)
@@ -488,10 +473,7 @@ def verify_ensemble(
     # simultaneous check over ~30 separations with few-seed (t-distributed)
     # standard errors: use a family-wise 0.1% bound so a pass/fail verdict is
     # reproducible without seed luck; genuine deviations sit far outside it
-    n_checked = max(1, max_sep - (rho + 1))
-    # one seed gives no standard error, so se_factor is never read; at p >= 0.9995
-    # a t quantile exceeds z(0.9995) = 3.29, so it needs no floor of 3
-    se_factor = _t_quantile(seeds - 1, 1.0 - 0.0005 / n_checked) if seeds > 1 else math.inf
+    alpha = 0.001 / max(1, max_sep - (rho + 1))  # spread needs two seeds, so df >= 1
     freq = np.vstack(freq_rows)
     long_rows = []
     for sep in range(1, max_sep + 1):
@@ -505,10 +487,10 @@ def verify_ensemble(
         if sep <= rho + 1:
             if emp != 1.0:
                 failures.append(f"band link frequency at sep={sep} is {emp} != 1")
-        elif spread and abs(emp - th) > se_factor * se:
+        elif spread and _t_tail(seeds - 1, t := abs(emp - th) / se) < alpha:
             failures.append(
                 f"link frequency at sep={sep}: {emp:.5f} vs {th:.5f} "
-                f"(bound {se_factor:.1f}*se = {se_factor * se:.5f})"
+                f"(t = {t:.1f}, P(|T| > t) < {alpha:.2g})"
             )
 
     envelope = theory.degree_table(

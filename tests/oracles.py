@@ -1,5 +1,5 @@
-"""Independent reference implementations used as test oracles, and the
-affine map the invariance tests apply to series."""
+"""Independent reference implementations used as test oracles, the affine
+map the invariance tests apply to series, and a table of faulty builders."""
 from __future__ import annotations
 
 import csv
@@ -8,7 +8,8 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import shortest_path
 
-from lphvg import TimeSeries, clustering_max, clustering_min
+from lphvg import TimeSeries, VisibilityGraph, build_lphvg, clustering_max, clustering_min
+from lphvg.series import as_values
 
 
 def load_series_reference(path, column: int | str = 0, has_header: bool = False) -> np.ndarray:
@@ -152,3 +153,42 @@ def geometric_pmf_series_mean(rho: int, tail_mass: float = 1e-14) -> float:
         k += 1
         p *= ratio
     return total
+
+
+def dropping(drop):
+    """build_lphvg less the edges (i, j) for which drop(i, j, x, rho) holds, x the values."""
+    def build(series, rho):
+        g = build_lphvg(series, rho)
+        i, j = np.divmod(g.edge_codes, g.n)
+        return VisibilityGraph(g.n, g.rho, g.edge_codes[~drop(i, j, as_values(series), rho)])
+    return build
+
+
+def relabelled(shift: int):
+    """build_lphvg at rho + shift, labelled rho."""
+    def build(series, rho):
+        g = build_lphvg(series, rho + shift)
+        return VisibilityGraph(g.n, rho, g.edge_codes)
+    return build
+
+
+def _every_tenth_long(i, j, x, rho):
+    long = j - i > rho + 1  # in code order
+    return long & (np.cumsum(long) % 10 == 0)
+
+
+# builders that each break the LPHVG in one way; "built-at-rho-1" needs rho >= 1
+FAULTY_BUILDS = {
+    "no-sep-1": dropping(lambda i, j, x, rho: j - i == 1),
+    "rising-edges-only": dropping(lambda i, j, x, rho: x[i] >= x[j]),  # lower end on the left
+    "built-at-rho-1": relabelled(-1),
+    "no-last-node-edges": dropping(lambda i, j, x, rho: j == x.size - 1),
+    "no-sep-rho+2": dropping(lambda i, j, x, rho: j - i == rho + 2),
+    "built-at-rho+1": relabelled(1),
+    "every-10th-long-edge": dropping(_every_tenth_long),
+    "no-sep-over-30": dropping(lambda i, j, x, rho: j - i > 30),
+    "no-sep-over-40": dropping(lambda i, j, x, rho: j - i > 40),
+    "no-sep-over-100": dropping(lambda i, j, x, rho: j - i > 100),
+    "even-sep-rho+2": dropping(lambda i, j, x, rho: (j - i == rho + 2) & (i % 2 == 0)),
+    "no-edge-0-1": dropping(lambda i, j, x, rho: (i == 0) & (j == 1)),
+}

@@ -17,6 +17,7 @@ import pytest
 
 import lphvg
 from lphvg.cli import build_parser, main
+from oracles import FAULTY_BUILDS
 
 ROOT = Path(__file__).parents[1]
 README = ROOT / "README.md"
@@ -295,36 +296,35 @@ assert main(["evolve", "--input", {str(src)!r}, "--rho", "2", "--window-len", "3
              "--step", "100", "--ensemble", "2", "--outdir", {str(tmp_path / "run")!r}]) == 0""")
 
 
-def dropping(drop):
-    """build_lphvg less the edges (i, j) for which drop(i, j, rho) holds."""
-    def build(series, rho):
-        g = lphvg.build_lphvg(series, rho)
-        i, j = np.divmod(g.edge_codes, g.n)
-        return lphvg.VisibilityGraph(g.n, g.rho, g.edge_codes[~drop(i, j, rho)])
-    return build
-
-
-# builders that break one law each, and the failure lines verify(rho 1, n 3000, 10 seeds) gives
-BROKEN_BUILDS = {
-    "no-sep-rho+2": (lambda i, j, rho: j - i == rho + 2, [
+# the failure lines verify(rho 1, n 3000, 10 seeds) gives on four of the faulty builders
+BROKEN_BUILD_FAILURES = {
+    "no-sep-rho+2": [
         "mean degree 6.968 deviates 12.896% from 8.0",
         "coverage 0.2428 outside iid band (0.76, 0.835)",
-    ]),
-    "even-sep-rho+2": (lambda i, j, rho: (j - i == rho + 2) & (i % 2 == 0), [
-        "link frequency at sep=3: 0.24785 vs 0.50000 (bound 7.5*se = 0.01057)",
-    ]),
-    "no-edge-0-1": (lambda i, j, rho: (i == 0) & (j == 1), [
+    ],
+    "even-sep-rho+2": [
+        "link frequency at sep=3: 0.24785 vs 0.50000 (t = 179.7, P(|T| > t) < 3.6e-05)",
+    ],
+    "no-edge-0-1": [
         "band link frequency at sep=1 is 0.999666555518506 != 1",
-    ]),
-    "no-sep-1": (lambda i, j, rho: j - i == 1, [  # interior nodes below degree 2(rho+1)
+    ],
+    "no-sep-1": [  # interior nodes below degree 2(rho+1)
         f"pmf E(k={k}) = {e} >= 0.150" for k, e in enumerate(
             "0.348 0.375 0.356 0.356 0.355 0.354 0.376 0.394 0.355 0.305 0.362 0.399".split(), 4)
     ] + [
         "mean degree 5.966 deviates 25.422% from 8.0",
         "coverage 0.1540 outside iid band (0.76, 0.835)",
         "band link frequency at sep=1 is 0.0 != 1",
-    ]),
+    ],
 }
+
+# every faulty builder at rho 0-2; one built at rho - 1 needs rho >= 1
+FAULT_CELLS = [(name, rho) for name in FAULTY_BUILDS for rho in range(3)
+               if (name, rho) != ("built-at-rho-1", 0)]
+# the faults the link frequencies' t test catches at every rho; the others pass
+# it, leaving each checked separation near the law or with no spread across seeds
+LINK_FREQUENCY_FAULTS = {"rising-edges-only", "built-at-rho-1", "built-at-rho+1",
+                         "every-10th-long-edge", "even-sep-rho+2"}
 
 VERIFY_ARTIFACTS = ("pmf_vs_theory.csv", "finite_size.csv", "finite_size_summary.csv",
                     "coverage.csv", "long_distance.csv", "theory_table.csv", "manifest.json")
@@ -382,10 +382,10 @@ class TestVerify:
         assert rows[21][2] == 0.0  # not the std(ddof=1) residue 1.2e-18
         assert all(se == 0.0 or se > 1e-6 for _, _, se, _, _ in rows.values())
 
-    @pytest.mark.parametrize("case", BROKEN_BUILDS)
+    @pytest.mark.parametrize("case", BROKEN_BUILD_FAILURES)
     def test_broken_builder_fails(self, monkeypatch, case):
-        drop, lines = BROKEN_BUILDS[case]
-        monkeypatch.setattr(lphvg.metrics, "build_lphvg", dropping(drop))
+        lines = BROKEN_BUILD_FAILURES[case]
+        monkeypatch.setattr(lphvg.metrics, "build_lphvg", FAULTY_BUILDS[case])
         failures = lphvg.verify_ensemble(1, 3000, 10).failures
         pmf = [line for line in failures if line.startswith("pmf E(k=")]
         if case == "no-sep-rho+2":
@@ -396,8 +396,8 @@ class TestVerify:
             assert failures == lines
 
     def test_broken_builder_exits_1(self, tmp_path, monkeypatch, capsys):
-        drop, lines = BROKEN_BUILDS["no-edge-0-1"]
-        monkeypatch.setattr(lphvg.metrics, "build_lphvg", dropping(drop))
+        lines = BROKEN_BUILD_FAILURES["no-edge-0-1"]
+        monkeypatch.setattr(lphvg.metrics, "build_lphvg", FAULTY_BUILDS["no-edge-0-1"])
         rc = run(["verify", "--rho", "1", "--n", "3000", "--seeds", "10",
                   "--outdir", str(tmp_path / "rep")])
         assert rc == 1
@@ -406,9 +406,28 @@ class TestVerify:
         assert err == "".join(f"FAIL: {line}\n" for line in lines)
 
     def test_builder_without_sep_1_gets_a_discriminate_verdict(self, monkeypatch):
-        monkeypatch.setattr(lphvg.metrics, "build_lphvg", dropping(BROKEN_BUILDS["no-sep-1"][0]))
+        monkeypatch.setattr(lphvg.metrics, "build_lphvg", FAULTY_BUILDS["no-sep-1"])
         series = lphvg.gen_iid(lphvg.IidSpec("uniform", 3000, lphvg.RngConfig(0)))
         assert lphvg.discriminate(series, 1).verdict == "deviating"
+
+    @pytest.mark.parametrize("name, rho", FAULT_CELLS, ids=[f"{n}-rho{r}" for n, r in FAULT_CELLS])
+    def test_every_faulty_builder_fails(self, tmp_path, monkeypatch, capsys, name, rho):
+        monkeypatch.setattr(lphvg.metrics, "build_lphvg", FAULTY_BUILDS[name])
+        rc = run(["verify", "--rho", str(rho), "--n", "3000", "--seeds", "10",
+                  "--outdir", str(tmp_path / "rep")])
+        err = capsys.readouterr().err  # verify_ensemble's failures, one FAIL line each
+        if (name, rho) == ("no-sep-over-100", 2):
+            # pinned as it stands: the mean degree, 11.735, is 2.2% below 4(rho+1), inside
+            # the 5% slack, though 79 standard errors below the exact 11.936 at n = 3000
+            assert rc == 0 and err == ""
+        else:
+            assert rc == 1 and err
+            assert all(line.startswith("FAIL: ") for line in err.splitlines())
+        assert ("FAIL: link frequency at" in err) == (name in LINK_FREQUENCY_FAULTS)
+        for stream in range(3):  # a verdict, never an exception
+            series = lphvg.gen_iid(lphvg.IidSpec("uniform", 3000, lphvg.RngConfig(0, stream)))
+            assert lphvg.discriminate(series, rho).verdict in (
+                lphvg.metrics.VERDICT_IID, lphvg.metrics.VERDICT_DEVIATING)
 
     def test_rho3_no_band_still_runs(self, tmp_path):
         outdir = tmp_path / "rep3"
@@ -503,8 +522,11 @@ class TestEvolveAndReplay:
         assert rc == 1
         assert "malformed manifest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("artifacts", [{"series": "x"}, {"graph": 5}, {"graph": ["g.txt"]}],
-                             ids=["missing", "int", "list"])
+    @pytest.mark.parametrize(
+        "artifacts",
+        [{"series": "x"}, {"graph": 5}, {"graph": ["g.txt"]}, {"graph": ""}, {"graph": "."},
+         {"graph": ".."}, {"graph": "sub/.."}],
+        ids=["missing", "int", "list", "empty", "dot", "dotdot", "sub-dotdot"])
     def test_manifest_missing_artifact_key_exits_1(self, tmp_path, capsys, artifacts):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(

@@ -345,6 +345,24 @@ class TestEvolve:
         # phase at 39.1, so the recurrence is the same-phase mask
         assert np.array_equal(res.recurrence, same.astype(np.int8))
 
+    def test_iid_then_periodic_blocks(self):
+        # 4300 i.i.d. points, then period 20, which divides the step: every
+        # periodic window holds the same values, so the same graph
+        values = np.concatenate([gen_iid(IidSpec("uniform", 4300, RngConfig(1))).values,
+                                 gen_periodic(20, 4300, RngConfig(2)).values])
+        res = evolve(values, 2, WindowConfig(500, 100), RngConfig(0), ensemble=10)
+        starts, stops = np.array(res.windows).T
+        iid, periodic = stops <= 4300, starts >= 4300
+        assert res.window_count == 82 and iid.sum() == periodic.sum() == 39
+        assert np.all(res.distances[np.ix_(periodic, periodic)] == 0)
+        assert np.all(res.recurrence[np.ix_(periodic, periodic)] == 1)
+        # as measured at this seed: theta 62.466, below the closest i.i.d. pair
+        # (63.77) and the closest cross-regime pair (62.63), so neither recurs
+        assert res.theta == pytest.approx(62.466, abs=1e-3)
+        off = ~np.eye(39, dtype=bool)
+        assert np.all(res.recurrence[np.ix_(iid, iid)][off] == 0)
+        assert np.all(res.recurrence[np.ix_(iid, periodic)] == 0)
+
     def test_deterministic_replay(self):
         ts = gen_iid(IidSpec("uniform", 300, RngConfig(12)))
         a = evolve(ts, 1, WindowConfig(80, 40), RngConfig(1), ensemble=2)

@@ -212,17 +212,18 @@ class TestPathLength:
         assert mean_path_length(g) == pytest.approx(exact, rel=0.05)
 
     @pytest.mark.parametrize(
-        "values, deep",
+        "values, rho, deep",
         [
-            (np.random.default_rng(65).random(65), False),
-            (np.random.default_rng(700).random(700), False),
-            (np.random.default_rng(2000).random(2000), False),
-            (np.arange(2000, 0, -1, dtype=float), True),
+            (np.random.default_rng(65).random(65), 1, False),
+            (np.random.default_rng(700).random(700), 1, False),
+            (np.random.default_rng(2000).random(2000), 1, False),
+            (np.arange(2000, 0, -1, dtype=float), 1, True),
+            (-np.arange(500) + 2 * np.random.default_rng(500).standard_normal(500), 2, True),
         ],
-        ids=["iid65", "iid700", "iid2000", "decreasing2000"],
+        ids=["iid65", "iid700", "iid2000", "decreasing2000", "trend500-rho2"],
     )
-    def test_matches_scipy(self, values, deep):
-        g = build_lphvg(values, 1)
+    def test_matches_scipy(self, values, rho, deep):
+        g = build_lphvg(values, rho)
         probe = _bfs_distance_sum(g, np.arange(64), PATH_PROBE_DEPTH)
         assert (probe is None) is deep  # probe's choice
         assert mean_path_length(g) == path_length_reference(g)
@@ -542,30 +543,42 @@ class TestDiscriminate:
         assert "verdict" in payload
 
 
-class TestTQuantile:
-    """metrics._t_quantile at the p = 1 - 0.0005/n_checked that verify_ensemble asks for."""
+class TestTTail:
+    """metrics._t_tail, P(|T| > t) at an integer df, against closed forms and scipy."""
 
-    P = [1.0 - 0.0005 / n_checked for n_checked in range(1, 31)]
+    DFS = [*range(1, 51), 99, 100, 250, 500, 999, 1000]
+    T = np.linspace(0.0, 400.0, 4001)
 
     def test_closed_forms_at_df_1_and_2(self):
-        for p in self.P:
-            # tan(pi(p - 1/2)), written as cot(pi(1 - p)): rounding pi(p - 1/2) near the
-            # pole would itself cost up to 2e-12 relative
-            cauchy = 1.0 / math.tan(math.pi * (1.0 - p))
-            assert lphvg.metrics._t_quantile(1, p) == pytest.approx(cauchy, rel=1e-12, abs=0)
-            two = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
-            assert lphvg.metrics._t_quantile(2, p) == pytest.approx(two, rel=1e-12, abs=0)
+        for t in self.T.tolist():
+            cauchy = 2.0 / math.pi * math.atan2(1.0, t)
+            assert lphvg.metrics._t_tail(1, t) == pytest.approx(cauchy, rel=1e-14, abs=0)
+            r = math.sqrt(2.0 + t * t)  # 1 - t/r, written without its cancellation
+            two = 2.0 / (r * (r + t))
+            assert lphvg.metrics._t_tail(2, t) == pytest.approx(two, rel=1e-14, abs=0)
 
-    def test_matches_stdtrit(self):
-        from scipy.special import stdtrit  # the oracle: scipy.stats.t.ppf's quantile
+    def test_one_at_zero(self):
+        for df in self.DFS:
+            assert lphvg.metrics._t_tail(df, 0.0) == pytest.approx(1.0, rel=1e-15, abs=0)
 
-        for df in [*range(1, 51), 99, 100, 250, 500, 999, 1000]:
-            for p in self.P:
-                expected = float(stdtrit(df, p))
-                assert lphvg.metrics._t_quantile(df, p) == pytest.approx(expected, rel=1e-11, abs=0)
+    def test_matches_stdtr(self):
+        from scipy.special import stdtr  # the oracle: scipy.stats.t.cdf
 
-    def test_rises_with_p_above_3(self):
-        # above 3, so verify_ensemble needs no floor of 3 sigma
-        for df in [*range(1, 51), 1000]:
-            t = [lphvg.metrics._t_quantile(df, p) for p in self.P]
-            assert 3.0 < t[0] and all(a < b for a, b in zip(t, t[1:]))
+        for df in self.DFS:
+            expected = 2.0 * stdtr(df, -self.T)
+            got = np.array([lphvg.metrics._t_tail(df, t) for t in self.T.tolist()])
+            # y's rounding, raised to powers up to df/2: 1.04e-14 at df 1000 on this grid
+            assert np.abs(got - expected).max() <= 2e-14
+            big = expected >= 1e-5
+            assert np.all(np.abs(got - expected)[big] <= 1e-9 * expected[big])
+
+    def test_decides_at_the_quantile(self):
+        # verify_ensemble's test: a separation fails when the tail is below 0.001/n_checked
+        from scipy.special import stdtrit
+
+        for df in self.DFS:
+            for n_checked in range(1, 31):
+                alpha = 0.001 / n_checked
+                t_q = float(stdtrit(df, 1.0 - alpha / 2))
+                assert lphvg.metrics._t_tail(df, t_q * (1 + 1e-9)) < alpha
+                assert lphvg.metrics._t_tail(df, t_q * (1 - 1e-9)) > alpha
