@@ -5,20 +5,18 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import VisibilityGraph, build_lphvg
 from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
-from .series import RngConfig, as_values, validate_rho
+from .series import Record, RngConfig, as_values, validate_rho
 
 DEFAULT_ENSEMBLE = 10
 _THRESHOLD_STREAM_TAG = 0x7468  # namespaces the reference-series substreams
 
 
-@dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(Record):
     window_len: int
     step: int
 
@@ -162,8 +160,7 @@ def recurrence_matrix(distances: np.ndarray, theta: float) -> np.ndarray:
     return (correlation_index(distances, theta) > 0).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class WindowMetrics:
+class WindowMetrics(Record):
     start: int
     stop: int
     mean_degree: float
@@ -171,8 +168,7 @@ class WindowMetrics:
     mean_path_length: float
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
+class EvolutionResult(Record):
     window_count: int
     windows: tuple[tuple[int, int], ...]
     per_window: tuple[WindowMetrics, ...]

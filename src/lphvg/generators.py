@@ -2,11 +2,9 @@
 chaotic maps, and chaotic flows via fixed-step 4th-order integration."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .series import RngConfig, TimeSeries
+from .series import Record, RngConfig, TimeSeries
 
 IID_FAMILIES = ("uniform", "gaussian", "powerlaw")
 FLOW_SYSTEMS = ("lorenz", "energy")
@@ -16,8 +14,7 @@ class DivergenceError(RuntimeError):
     """Raised when an iterated map or flow leaves the finite range."""
 
 
-@dataclass(frozen=True)
-class IidSpec:
+class IidSpec(Record):
     """Specification of an i.i.d. draw: family, parameters, length, stream."""
 
     family: str
@@ -115,8 +112,7 @@ ENERGY_PARAMS = {
 FLOW_DEFAULT_INIT = {"lorenz": (1.0, 1.0, 1.0), "energy": (10.0, 20.0, 14.0)}
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(Record):
     """Fixed-step integration spec for a three-dimensional flow."""
 
     system: str

@@ -9,20 +9,18 @@ Graphs are stored as their sorted edge codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .series import as_values, validate_rho
+from .series import Record, as_values, validate_rho
 
 ADJACENCY_EXPORT_MAX_NODES = 2000
 _EDGE_CHUNK = 1 << 17  # edges decoded at a time
 
 
-@dataclass(frozen=True, eq=False)
-class VisibilityGraph:
+class VisibilityGraph(Record):
     """Immutable undirected simple graph over series indices 0..n-1.
 
     Stored as the read-only int64 codes i*n+j of its edges (i, j), sorted and

@@ -3,14 +3,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import theory
 from .generators import IidSpec, gen_iid
 from .graph import VisibilityGraph, build_lphvg
-from .series import RngConfig, as_values, validate_rho
+from .series import Record, RngConfig, as_values, validate_rho
 
 PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
 PATH_SAMPLE_PAIRS = 2000 * 1999  # ordered pairs: n <= 2000 is exact
@@ -44,8 +43,7 @@ class InsufficientBinsError(ValueError):
     """Tail fit attempted with fewer than four usable histogram bins."""
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
+class DegreeDistribution(Record):
     """Exact degree histogram of a graph: counts[k] nodes have degree k."""
 
     counts: np.ndarray
@@ -171,8 +169,7 @@ def mean_path_length(graph: VisibilityGraph) -> float:
     return float(total) / (sources.size * (n - 1))
 
 
-@dataclass(frozen=True)
-class FiniteSizeReport:
+class FiniteSizeReport(Record):
     """Relative errors against the closed-form degree law.
 
     per_k covers every supported bin up to the maximum observed degree; the
@@ -208,8 +205,7 @@ def finite_size_report(dist: DegreeDistribution, rho: int) -> FiniteSizeReport:
     return FiniteSizeReport(per_k=tuple(per_k), me=me, me_sum=me_sum, k0=k0)
 
 
-@dataclass(frozen=True)
-class TailFit:
+class TailFit(Record):
     """Unweighted OLS fit of ln pmf(k) against k over the populated tail."""
 
     lambda_hat: float
@@ -306,8 +302,7 @@ def link_frequency_by_separation(graph: VisibilityGraph, max_sep: int) -> np.nda
     return counts / denom
 
 
-@dataclass(frozen=True)
-class DiscriminationResult:
+class DiscriminationResult(Record):
     """Verdict plus every statistic that fed it."""
 
     verdict: str
@@ -413,8 +408,7 @@ def _t_tail(df: int, t: float) -> float:
     return y / (1 + s) - s * rest
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """verify_ensemble's outcome: each artifact name's (header, rows), the failed
     checks (empty when all pass) and the ensemble's summary figures."""
 

@@ -1,11 +1,12 @@
-"""Core domain types: time series and seeded RNG configuration; CSV ingestion by
-one numpy parse, with a csv.reader walk for what numpy does not read in full."""
+"""Core domain types: the immutable record base, time series and seeded RNG configuration; CSV
+ingestion by one numpy parse, with a csv.reader walk for what numpy does not read in full."""
 from __future__ import annotations
 
 import csv
+import inspect
 import io
+import typing
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,44 @@ def validate_rho(rho: int) -> int:
     return int(rho)
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+@getattr(typing, "dataclass_transform", lambda **_: lambda c: c)(frozen_default=True)  # 3.11+
+class Record:
+    """Immutable record: a subclass's own annotated names are its fields, in order, each defaulting
+    to a class attribute of the same name. __init__ binds them as a call would, then runs the
+    class's __post_init__ if it has one. A record compares, hashes and prints by its fields."""
+
+    def __init_subclass__(cls):
+        P = inspect.Parameter
+        cls.__signature__ = inspect.Signature(
+            [P(name, P.POSITIONAL_OR_KEYWORD, annotation=ann, default=vars(cls).get(name, P.empty))
+             for name, ann in inspect.get_annotations(cls).items()])
+
+    def __init__(self, *args, **kwargs):
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        self.__dict__.update(bound.arguments)
+        getattr(self, "__post_init__", lambda: None)()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__signature__.parameters)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__signature__.parameters, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class TimeSeries(Record):
     """An ordered sequence of finite real samples.
 
     Values are stored as a read-only float64 array. Instances are immutable
@@ -46,8 +83,7 @@ class TimeSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class RngConfig:
+class RngConfig(Record):
     """Seeded random stream id; identical (seed, stream_id) reproduce bit-identically."""
 
     seed: int

@@ -247,6 +247,11 @@ def test_import_skips_scipy_stats_and_csgraph():
     assert scipy_modules_after("import lphvg.cli") == []
 
 
+def test_import_compiles_no_dataclass():
+    # lphvg's records derive from series.Record, which generates no code at class creation
+    assert "dataclasses" not in modules_after("import lphvg.cli")
+
+
 def test_discriminate_build_and_verify_skip_scipy_sparse_and_stats(tmp_path):
     src = tmp_path / "s.csv"
     src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(1).random(600)))

@@ -1,5 +1,8 @@
+import copy
 import csv
+import inspect
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lphvg.series
+from lphvg.series import Record
 from lphvg import (
     RngConfig, TimeSeries, WindowConfig, build_lphvg, discriminate, evolve, load_series,
     write_series,
@@ -447,3 +451,84 @@ def test_rng_validation():
         RngConfig(-1)
     with pytest.raises(ValueError):
         RngConfig(0, -2)
+
+
+class _Point(Record):
+    x: int
+    y: int = 5
+    label: str = "p"
+
+
+class _OtherPoint(Record):
+    x: int
+    y: int = 5
+    label: str = "p"
+
+
+class _Total(Record):
+    x: int
+    total: int = 5
+
+    def __post_init__(self):  # reads a default and rewrites a field, as FlowSpec does
+        object.__setattr__(self, "total", self.x + self.total)
+
+
+def test_record_binds_positional_keyword_and_default_arguments():
+    assert vars(_Point(1, 2, "q")) == {"x": 1, "y": 2, "label": "q"}
+    assert vars(_Point(label="q", x=1)) == {"x": 1, "y": 5, "label": "q"}
+    assert vars(_Point(1, label="q")) == {"x": 1, "y": 5, "label": "q"}
+    assert [p.name for p in inspect.signature(_Point).parameters.values()] == ["x", "y", "label"]
+    assert inspect.signature(_Point).parameters["y"].default == 5
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),                          # missing
+    ((1,), {"z": 2}),                  # unknown
+    ((1,), {"x": 2}),                  # repeated
+    ((1, 2, "q", 4), {}),              # surplus
+])
+def test_record_refuses_bad_arguments(args, kwargs):
+    with pytest.raises(TypeError):
+        _Point(*args, **kwargs)
+
+
+def test_record_is_read_only():
+    p = _Point(1)
+    with pytest.raises(AttributeError):
+        p.x = 2
+    with pytest.raises(AttributeError):
+        p.extra = 2
+    with pytest.raises(AttributeError):
+        del p.x
+    assert vars(p) == {"x": 1, "y": 5, "label": "p"}
+
+
+def test_record_equality_hash_and_repr_go_by_fields():
+    assert _Point(1, 2) == _Point(1, y=2)
+    assert hash(_Point(1, 2)) == hash(_Point(1, 2)) == hash((1, 2, "p"))
+    assert _Point(1, 2) != _Point(1, 3)
+    assert _Point(1, 2) != _OtherPoint(1, 2)
+    assert _Point(1) != (1, 5, "p")
+    assert repr(_Point(1, label="q")) == "_Point(x=1, y=5, label='q')"
+    assert len({_Point(1), _Point(1), _Point(2)}) == 2
+
+
+def test_record_vars_lists_fields_in_order():
+    assert list(vars(_Point(label="q", y=3, x=1))) == ["x", "y", "label"]
+    assert list(vars(RngConfig(3, 4))) == ["seed", "stream_id"]
+
+
+def test_record_post_init_sees_every_field():
+    assert vars(_Total(2)) == {"x": 2, "total": 7}
+    assert vars(_Total(2, total=1)) == {"x": 2, "total": 3}
+    with pytest.raises(ValueError, match="stream_id"):  # RngConfig's own check sees the default
+        RngConfig(1, stream_id=-1)
+
+
+@pytest.mark.parametrize("record", [
+    _Point(1, 2, "q"), _Total(1), RngConfig(9, 2), WindowConfig(10, 3),
+])
+def test_record_pickle_and_deepcopy_round_trip(record):
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert again == record and again is not record
+        assert type(again) is type(record) and vars(again) == vars(record)
