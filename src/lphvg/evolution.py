@@ -10,7 +10,7 @@ import numpy as np
 
 from .graph import VisibilityGraph, build_lphvg
 from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
-from .series import Record, RngConfig, as_values, validate_rho
+from .series import Record, RngConfig, as_values, validate_int, validate_rho
 
 DEFAULT_ENSEMBLE = 10
 _THRESHOLD_STREAM_TAG = 0x7468  # namespaces the reference-series substreams
@@ -21,9 +21,8 @@ class WindowConfig(Record):
     step: int
 
     def __post_init__(self):
-        if self.window_len < 2:
-            raise ValueError(f"window_len must be >= 2, got {self.window_len}")
-        if not 0 < self.step < self.window_len:
+        validate_int("window_len", self.window_len, 2)
+        if validate_int("step", self.step, 1) >= self.window_len:
             raise ValueError(
                 f"need 0 < step < window_len, got step={self.step}, "
                 f"window_len={self.window_len}"
@@ -140,8 +139,8 @@ def threshold_from_random(
         whole = build_lphvg(g.random(series_len), rho)
         dist = _code_distances(_window_codes(whole, windows), cfg.window_len ** 2)
         best = min(best, float(dist[off_diagonal].min()))
-    if not best > 0:
-        raise ValueError("degenerate reference ensemble: zero minimum distance")
+        if not best > 0:  # no later member can raise the minimum
+            raise ValueError("degenerate reference ensemble: zero minimum distance")
     return best
 
 

@@ -33,9 +33,6 @@ class VisibilityGraph(Record):
     rho: int
     edge_codes: np.ndarray
 
-    def __post_init__(self):
-        self.edge_codes.flags.writeable = False
-
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) from both directions of every edge, keyed row*n+column."""
@@ -67,15 +64,6 @@ class VisibilityGraph(Record):
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VisibilityGraph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.rho == other.rho
-            and np.array_equal(self.edge_codes, other.edge_codes)
-        )
 
 
 def _partners(ranks: np.ndarray, count: int) -> np.ndarray:

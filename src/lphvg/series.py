@@ -12,19 +12,24 @@ from pathlib import Path
 import numpy as np
 
 
+def validate_int(name: str, value, low: int = 0) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def validate_rho(rho: int) -> int:
-    if not isinstance(rho, (int, np.integer)) or isinstance(rho, bool):
-        raise TypeError(f"rho must be an integer, got {type(rho).__name__}")
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    return int(rho)
+    return validate_int("rho", rho)
 
 
 @getattr(typing, "dataclass_transform", lambda **_: lambda c: c)(frozen_default=True)  # 3.11+
 class Record:
     """Immutable record: a subclass's own annotated names are its fields, in order, each defaulting
     to a class attribute of the same name. __init__ binds them as a call would, then runs the
-    class's __post_init__ if it has one. A record compares, hashes and prints by its fields."""
+    class's __post_init__ if it has one. Its state, which copy and pickle carry, is its fields
+    alone, ndarrays read-only; it compares (ndarrays by value), hashes and prints by them."""
 
     def __init_subclass__(cls):
         P = inspect.Parameter
@@ -37,18 +42,28 @@ class Record:
         bound.apply_defaults()
         self.__dict__.update(bound.arguments)
         getattr(self, "__post_init__", lambda: None)()
+        self.__setstate__({})  # locks the ndarray fields
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__signature__.parameters)
+    def __getstate__(self) -> dict:
+        return {name: self.__dict__[name] for name in self.__signature__.parameters}
+
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        for value in self.__getstate__().values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(self.__getstate__().values(), other.__getstate__().values()))
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(self.__getstate__().values()))
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self.__signature__.parameters, self._values())
+        fields = (f"{name}={value!r}" for name, value in self.__getstate__().items())
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name, value=None):
@@ -75,9 +90,7 @@ class TimeSeries(Record):
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValueError(f"non-finite value at index {bad}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", arr.copy())
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -90,10 +103,9 @@ class RngConfig(Record):
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        if validate_int("seed", self.seed) >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be >= 0")
+        validate_int("stream_id", self.stream_id)
 
     def generator(self, *subkeys: int) -> np.random.Generator:
         """PCG64 generator for this stream; extra subkeys derive child streams."""

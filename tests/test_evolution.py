@@ -231,6 +231,19 @@ class TestThreshold:
         theta = threshold_from_random(cfg, 200, rho, RngConfig(seed), ensemble=3)
         assert theta == member_threshold_by_window_graphs(cfg, 200, rho, RngConfig(seed), 3)
 
+    def test_degenerate_member_stops_the_ensemble(self, monkeypatch):
+        # two-point windows hold one edge each, so the first member's windows are all equal
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build_lphvg(*args)
+
+        monkeypatch.setattr(lphvg.evolution, "build_lphvg", counted)
+        with pytest.raises(ValueError, match="degenerate reference ensemble"):
+            threshold_from_random(WindowConfig(2, 1), 8, 0, RngConfig(0), ensemble=5)
+        assert len(builds) == 1
+
     def test_bad_reference_refused_before_any_build(self, monkeypatch, tmp_path, capsys):
         def no_build(*args):
             raise AssertionError("built before the window count was checked")

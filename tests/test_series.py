@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import lphvg.series
 from lphvg.series import Record
 from lphvg import (
-    RngConfig, TimeSeries, WindowConfig, build_lphvg, discriminate, evolve, load_series,
-    write_series,
+    DegreeDistribution, RngConfig, TimeSeries, VisibilityGraph, WindowConfig, build_lphvg,
+    degree_distribution, discriminate, evolve, load_series, make_windows, write_series,
 )
 from oracles import affine_transform, load_series_reference
 from shapes import monotone_values, plateau_values, sawtooth_values, series_values
@@ -453,6 +453,22 @@ def test_rng_validation():
         RngConfig(0, -2)
 
 
+@pytest.mark.parametrize("config, args", [
+    (RngConfig, (1.5,)), (RngConfig, (-0.5,)), (RngConfig, (True,)), (RngConfig, (1, 0.5)),
+    (RngConfig, (1, False)), (RngConfig, (np.float64(1),)), (WindowConfig, (10.5, 3)),
+    (WindowConfig, (10, 3.0)), (WindowConfig, (True, 1)), (WindowConfig, (10, True)),
+])
+def test_configs_take_integers_only(config, args):
+    with pytest.raises(TypeError, match="must be an integer, got (float|bool)"):
+        config(*args)
+
+
+def test_configs_take_numpy_integers():
+    rng = RngConfig(np.uint64(2**64 - 1), np.int8(2))
+    assert np.array_equal(rng.generator().random(3), RngConfig(2**64 - 1, 2).generator().random(3))
+    assert make_windows(12, WindowConfig(np.int64(10), np.int32(2))) == [(0, 10), (2, 12)]
+
+
 class _Point(Record):
     x: int
     y: int = 5
@@ -532,3 +548,65 @@ def test_record_pickle_and_deepcopy_round_trip(record):
     for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert again == record and again is not record
         assert type(again) is type(record) and vars(again) == vars(record)
+
+
+def _graph_after_traversal() -> VisibilityGraph:
+    graph = build_lphvg([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], 1)
+    graph.degrees()  # caches the CSR arrays in the instance
+    assert "_csr" in vars(graph)
+    return graph
+
+
+_ARRAY_RECORDS = {
+    "series": lambda: TimeSeries([1.0, 2.0, 3.0]),
+    "graph": _graph_after_traversal,
+    "degrees": lambda: degree_distribution(build_lphvg(np.arange(8.0) % 3, 1)),
+    "evolution": lambda: evolve(RngConfig(4).generator().random(40), 1, WindowConfig(10, 5),
+                                RngConfig(4), ensemble=1),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_RECORDS.values(), ids=_ARRAY_RECORDS.keys())
+def test_array_record_contract(make):
+    record = make()
+    fields = list(inspect.signature(type(record)).parameters)
+    copies = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    for again in [record, *copies]:
+        arrays = [v for v in map(vars(again).get, fields) if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0].flat[0] = 0
+        with pytest.raises(TypeError):
+            hash(again)
+    for again in copies:
+        assert again == record and record == again and again is not record
+        assert type(again) is type(record) and list(vars(again)) == fields  # no cache copied
+
+
+def test_restored_graph_derives_its_csr_again():
+    graph = _graph_after_traversal()
+    for again in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert "_csr" not in vars(again)
+        assert np.array_equal(again.indptr, graph.indptr)
+        assert np.array_equal(again.indices, graph.indices)
+        assert not again.indptr.flags.writeable
+
+
+def test_record_compares_arrays_by_value():
+    assert TimeSeries([1.0, 2.0]) == TimeSeries([1.0, 2.0])
+    assert TimeSeries([1.0, 2.0]) != TimeSeries([1.0, 3.0])
+    assert TimeSeries([1.0, 2.0]) != TimeSeries([1.0, 2.0, 3.0])
+    codes = np.array([1, 2, 5], dtype=np.int64)
+    assert VisibilityGraph(3, 0, codes) == VisibilityGraph(3, 0, codes.copy())
+    assert VisibilityGraph(3, 0, codes) != VisibilityGraph(3, 1, codes.copy())
+    assert VisibilityGraph(3, 0, codes) != VisibilityGraph(3, 0, codes[:2].copy())
+    with pytest.raises(TypeError, match="unhashable type: 'numpy.ndarray'"):
+        hash(VisibilityGraph(3, 0, codes))
+
+
+def test_record_locks_the_arrays_it_holds():
+    counts = np.array([0, 1, 1], dtype=np.int64)
+    dist = DegreeDistribution(counts, 2)
+    assert dist.counts is counts and not counts.flags.writeable
+    values = np.array([1.0, 2.0])
+    assert TimeSeries(values).values is not values and values.flags.writeable  # a copy is locked
