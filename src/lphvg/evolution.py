@@ -31,23 +31,15 @@ class WindowConfig(Record):
 
 def make_windows(n: int, cfg: WindowConfig) -> list[tuple[int, int]]:
     """Half-open ranges [i*step, i*step + window_len), i = 0..T-1."""
-    if n < cfg.window_len:
+    if validate_int("n", n) < cfg.window_len:
         raise ValueError(f"series length {n} shorter than window {cfg.window_len}")
     count = (n - cfg.window_len) // cfg.step + 1
     return [(i * cfg.step, i * cfg.step + cfg.window_len) for i in range(count)]
 
 
-def graph_distance(g1: VisibilityGraph, g2: VisibilityGraph) -> float:
-    """sqrt(# differing ordered adjacency entries) between equal-size graphs."""
-    if g1.n != g2.n:
-        raise ValueError(f"node counts differ: {g1.n} vs {g2.n}")
-    common = np.intersect1d(g1.edge_codes, g2.edge_codes, assume_unique=True).size
-    sym_diff = g1.edge_codes.size + g2.edge_codes.size - 2 * common
-    return math.sqrt(2.0 * sym_diff)
-
-
 def distance_matrix(graphs: list[VisibilityGraph]) -> np.ndarray:
-    """graph_distance for every pair, by popcounts over packed edge bitsets."""
+    """sqrt(2 |A ^ B|) for the edge sets A, B of every pair of equal-size graphs (A ^ B their
+    symmetric difference), by popcounts over packed edge bitsets."""
     if not graphs:
         return np.zeros((0, 0))
     if any(g.n != graphs[0].n for g in graphs):
@@ -56,8 +48,8 @@ def distance_matrix(graphs: list[VisibilityGraph]) -> np.ndarray:
 
 
 def _code_distances(codes: list[np.ndarray], space: int) -> np.ndarray:
-    """graph_distance for every pair of edge sets, each given by its sorted
-    distinct codes in [0, space).
+    """sqrt(2 |A ^ B|) for every pair of edge sets A, B, each given by its
+    sorted distinct codes in [0, space).
 
     A code's bitset column is its rank among all distinct codes. While space
     is at most 4x the code count, a presence array of space bools and one
@@ -109,8 +101,7 @@ def _window_codes(whole: VisibilityGraph, windows: list[tuple[int, int]]) -> lis
 def _reference_windows(series_len: int, cfg: WindowConfig, ensemble: int) -> list[tuple[int, int]]:
     """The windows of a series, refused before any build when the reference
     ensemble is empty or there are too few windows to give it a pair."""
-    if ensemble < 1:
-        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
+    validate_int("ensemble", ensemble, 1)
     windows = make_windows(series_len, cfg)
     if len(windows) < 2:
         raise ValueError("need at least two windows to form a reference distance")
@@ -242,5 +233,5 @@ def evolve(
         distances=dist,
         theta=theta,
         gamma=gamma,
-        recurrence=(gamma > 0).astype(np.int8),  # = recurrence_matrix(dist, theta)
+        recurrence=recurrence_matrix(dist, theta),
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import Record, RngConfig, TimeSeries
+from .series import Record, RngConfig, TimeSeries, validate_int
 
 IID_FAMILIES = ("uniform", "gaussian", "powerlaw")
 FLOW_SYSTEMS = ("lorenz", "energy")
@@ -28,8 +28,7 @@ class IidSpec(Record):
     def __post_init__(self):
         if self.family not in IID_FAMILIES:
             raise ValueError(f"family must be one of {IID_FAMILIES}, got {self.family!r}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        validate_int("n", self.n, 2)
         if self.family == "gaussian" and not self.sd > 0:
             raise ValueError(f"sd must be > 0, got {self.sd}")
         if self.family == "powerlaw":
@@ -55,9 +54,7 @@ def gen_iid(spec: IidSpec) -> TimeSeries:
 
 def gen_periodic(period: int, n: int, rng: RngConfig) -> TimeSeries:
     """Tile one period of `period` distinct uniform draws out to length n."""
-    period = int(period)
-    n = int(n)
-    if not 2 <= period <= n:
+    if not validate_int("n", n) >= validate_int("period", period) >= 2:
         raise ValueError(f"need 2 <= period <= n, got period={period}, n={n}")
     g = rng.generator()
     base = g.random(period)
@@ -79,8 +76,7 @@ def gen_logistic(n: int, x0: float = 0.3, mu: float = 4.0) -> TimeSeries:
         raise ValueError(f"x0 must lie in (0, 1), got {x0}")
     if not 0 < mu <= 4:
         raise ValueError(f"mu must lie in (0, 4], got {mu}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    validate_int("n", n, 2)
     out = np.empty(n)
     x = float(x0)
     for t in range(n):
@@ -91,8 +87,7 @@ def gen_logistic(n: int, x0: float = 0.3, mu: float = 4.0) -> TimeSeries:
 
 def gen_henon(n: int, x0: float = 0.0, y0: float = 0.0) -> TimeSeries:
     """Record the x-coordinate of x_{t+1} = 1 + y_t - 1.4 x_t^2, y_{t+1} = 0.3 x_t."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    validate_int("n", n, 2)
     out = np.empty(n)
     x, y = float(x0), float(y0)
     for t in range(n):
@@ -126,15 +121,12 @@ class FlowSpec(Record):
     def __post_init__(self):
         if self.system not in FLOW_SYSTEMS:
             raise ValueError(f"system must be one of {FLOW_SYSTEMS}, got {self.system!r}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        validate_int("n", self.n, 2)
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.transient < 0:
-            raise ValueError(f"transient must be >= 0, got {self.transient}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not 0 <= self.component <= 2:
+        validate_int("transient", self.transient)
+        validate_int("stride", self.stride, 1)
+        if validate_int("component", self.component) > 2:
             raise ValueError(f"component must be 0, 1 or 2, got {self.component}")
         init = self.init if self.init is not None else FLOW_DEFAULT_INIT[self.system]
         init = tuple(float(v) for v in init)

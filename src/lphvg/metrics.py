@@ -9,7 +9,7 @@ import numpy as np
 from . import theory
 from .generators import IidSpec, gen_iid
 from .graph import VisibilityGraph, build_lphvg
-from .series import Record, RngConfig, as_values, validate_rho
+from .series import Record, RngConfig, as_values, validate_int, validate_rho
 
 PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
 PATH_SAMPLE_PAIRS = 2000 * 1999  # ordered pairs: n <= 2000 is exact
@@ -59,7 +59,7 @@ class DegreeDistribution(Record):
             raise ValueError(f"counts sum to {total}, expected n={self.n}")
 
     def pmf(self, k: int) -> float:
-        return (int(self.counts[k]) if k < self.counts.size else 0) / self.n
+        return (int(self.counts[k]) if validate_int("k", k) < self.counts.size else 0) / self.n
 
     @property
     def max_degree(self) -> int:
@@ -294,7 +294,7 @@ def clustering_coverage(graph: VisibilityGraph) -> float:
 
 def link_frequency_by_separation(graph: VisibilityGraph, max_sep: int) -> np.ndarray:
     """freq[d-1] = (# edges with j - i = d) / (n - d) for d = 1..max_sep < n."""
-    if not 1 <= max_sep < graph.n:
+    if not 1 <= validate_int("max_sep", max_sep) < graph.n:
         raise ValueError(f"max_sep must be in 1..n-1 = {graph.n - 1}, got {max_sep}")
     i, j = np.divmod(graph.edge_codes, graph.n)
     counts = np.bincount(j - i, minlength=max_sep + 1)[1 : max_sep + 1]
@@ -430,8 +430,7 @@ def verify_ensemble(
     against its i.i.d. band (rho <= 2), certain links inside the band, and the
     link frequency against the long-distance law for separations beyond it.
     """
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    validate_int("seeds", seeds, 1)
     max_sep = min(VERIFY_MAX_SEP, n - 1)
     degrees, mean_degrees, coverages, freq_rows = [], [], [], []
     for stream in range(seeds):

@@ -174,9 +174,7 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
             raise ValueError(f"{path}: no column named {column!r} in header {header}")
         col_idx = header.index(column)
     else:
-        col_idx = int(column)
-        if col_idx < 0:
-            raise ValueError(f"column index must be >= 0, got {col_idx}")
+        col_idx = validate_int("column index", column)
 
     # physical lines as csv.reader ends them: at LF, CRLF, a lone CR or the end of text
     ends = text.count("\n") + ("\r" in text and text.count("\r") - text.count("\r\n"))

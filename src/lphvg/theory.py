@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .series import validate_rho
+from .series import validate_int, validate_rho
 
 # Theorem scope for the clustering envelope as stated.
 CLUSTERING_RHO_MAX = 2
@@ -28,7 +28,7 @@ def degree_pmf(rho: int, k: int) -> float:
     the integer powers where the value is below 2**-1075 and so rounds to 0.0.
     """
     rho = validate_rho(rho)
-    m = int(k) - 2 * (rho + 1)
+    m = validate_int("k", k) - 2 * (rho + 1)
     if m < 0 or m * math.log2((2 * rho + 3) / (2 * rho + 2)) > 1080:
         return 0.0
     return (2 * rho + 2) ** m / (2 * rho + 3) ** (m + 1)
@@ -49,11 +49,7 @@ def mean_degree_periodic(rho: int, period: int) -> float:
     (see the package README). mean_degree_periodic_exact gives the exact law.
     """
     rho = validate_rho(rho)
-    period = int(period)
-    if period <= 2 * rho + 1:
-        raise ValueError(
-            f"period must exceed 2*rho+1 = {2 * rho + 1}, got {period}"
-        )
+    period = validate_int("period", period, 2 * rho + 2)
     return 4.0 * (rho + 1) * (1.0 - (2 * rho + 1) / (2.0 * period))
 
 
@@ -69,9 +65,7 @@ def mean_degree_periodic_exact(rho: int, period: int) -> float:
     mean_degree_periodic at rho = 0 and 2(rho+1) at T = 1.
     """
     rho = validate_rho(rho)
-    period = int(period)
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    period = validate_int("period", period, 1)
     slots = rho + 1
     own_copies = sum(slots // r for r in range(1, min(period, slots) + 1))
     return 4.0 * slots - 2.0 * own_copies / period
@@ -89,10 +83,7 @@ def _check_scope(rho: int, unvalidated: bool) -> int:
 
 def _check_clustering_args(rho: int, k: int, unvalidated: bool) -> tuple[int, int]:
     rho = _check_scope(rho, unvalidated)
-    k = int(k)
-    if k < 2 * (rho + 1):
-        raise ValueError(f"k must be >= 2(rho+1) = {2 * (rho + 1)}, got {k}")
-    return rho, k
+    return rho, validate_int("k", k, 2 * (rho + 1))
 
 
 def clustering_min(rho: int, k: int, *, unvalidated: bool = False) -> float:
@@ -117,7 +108,7 @@ def clustering_max(rho: int, k: int, *, unvalidated: bool = False) -> float:
 def clustering_max_is_extrapolated(rho: int, k: int) -> bool:
     """True when k lies below the stated domain k >= 2(2rho+1) of the max envelope."""
     rho = validate_rho(rho)
-    return int(k) < 2 * (2 * rho + 1)
+    return validate_int("k", k) < 2 * (2 * rho + 1)
 
 
 def _envelope_pmf(rho: int, c: float, a: int, b: int, k_min: int, name: str) -> float:
@@ -163,9 +154,7 @@ def long_visibility_prob(rho: int, sep: int) -> float:
     overestimates beyond (see long_visibility_prob_classic).
     """
     rho = validate_rho(rho)
-    sep = int(sep)
-    if sep < 1:
-        raise ValueError(f"sep must be >= 1, got {sep}")
+    sep = validate_int("sep", sep, 1)
     if sep <= rho + 1:
         return 1.0
     return (rho + 1) * (rho + 2) / (sep * (sep + 1.0))  # <= (rho+1)/(rho+3) < 1 here
@@ -186,7 +175,7 @@ def degree_table(rho: int, k_max: int, *, unvalidated: bool = False) -> list[dic
     """Rows (k, pmf, c_min, c_max, c_max_extrapolated) for k = 2(rho+1)..k_max."""
     rho = validate_rho(rho)
     rows = []
-    for k in range(2 * (rho + 1), int(k_max) + 1):
+    for k in range(2 * (rho + 1), validate_int("k_max", k_max) + 1):
         rows.append(
             {
                 "k": k,

@@ -3,6 +3,7 @@ map the invariance tests apply to series, and a table of faulty builders."""
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -129,6 +130,15 @@ def path_length_reference(graph) -> float:
 def sourced_path_length_reference(graph, sources) -> float:
     """Mean shortest-path length from each of `sources` to every other node, by scipy."""
     return float(_distances(graph, sources).sum()) / (len(sources) * (graph.n - 1))
+
+
+def graph_distance(g1: VisibilityGraph, g2: VisibilityGraph) -> float:
+    """sqrt(# differing ordered adjacency entries) between equal-size graphs."""
+    if g1.n != g2.n:
+        raise ValueError(f"node counts differ: {g1.n} vs {g2.n}")
+    common = np.intersect1d(g1.edge_codes, g2.edge_codes, assume_unique=True).size
+    sym_diff = g1.edge_codes.size + g2.edge_codes.size - 2 * common
+    return math.sqrt(2.0 * sym_diff)
 
 
 def affine_transform(series: TimeSeries, a: float, b: float) -> TimeSeries:

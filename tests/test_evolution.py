@@ -16,7 +16,6 @@ from lphvg import (
     gen_iid,
     gen_logistic,
     gen_periodic,
-    graph_distance,
     make_windows,
     mean_degree_empirical,
     recurrence_matrix,
@@ -27,6 +26,7 @@ from lphvg.cli import main
 from lphvg.evolution import _code_distances, _window_codes
 from lphvg.generators import IidSpec
 
+from oracles import graph_distance
 from shapes import monotone_values, plateau_values, rhos, sawtooth_values
 
 
@@ -84,6 +84,8 @@ class TestWindows:
             WindowConfig(100, 100)
         with pytest.raises(ValueError, match="window_len must be >= 2, got 1"):
             WindowConfig(1, 1)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -3$"):
+            make_windows(-3, WindowConfig(2, 1))
 
 
 class TestGraphDistance:
@@ -243,6 +245,19 @@ class TestThreshold:
         with pytest.raises(ValueError, match="degenerate reference ensemble"):
             threshold_from_random(WindowConfig(2, 1), 8, 0, RngConfig(0), ensemble=5)
         assert len(builds) == 1
+
+    def test_non_integer_ensemble_refused_before_any_build(self, monkeypatch):
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build_lphvg(*args)
+
+        monkeypatch.setattr(lphvg.evolution, "build_lphvg", counted)
+        for ensemble in (2.5, True):
+            with pytest.raises(TypeError, match="^ensemble must be an integer, got (float|bool)$"):
+                evolve(np.arange(30.0), 0, WindowConfig(10, 5), RngConfig(0), ensemble=ensemble)
+        assert builds == []
 
     def test_bad_reference_refused_before_any_build(self, monkeypatch, tmp_path, capsys):
         def no_build(*args):

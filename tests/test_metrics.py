@@ -79,6 +79,8 @@ class TestDegreeDistribution:
         dist = degree_distribution(g)
         assert sum(dist.pmf(k) for k in range(dist.max_degree + 2)) == pytest.approx(1.0)
         assert dist.pmf(dist.max_degree + 1) == 0.0  # past the array
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+            dist.pmf(-1)  # not the last bin's share
 
     @pytest.mark.parametrize(
         "counts, n, message",

@@ -12,9 +12,13 @@ from hypothesis import given, settings, strategies as st
 import lphvg.series
 from lphvg.series import Record
 from lphvg import (
-    DegreeDistribution, RngConfig, TimeSeries, VisibilityGraph, WindowConfig, build_lphvg,
-    degree_distribution, discriminate, evolve, load_series, make_windows, write_series,
+    DegreeDistribution, FlowSpec, IidSpec, RngConfig, TimeSeries, VisibilityGraph, WindowConfig,
+    build_lphvg, clustering_max, clustering_min, degree_distribution, degree_pmf, discriminate,
+    evolve, gen_flow, gen_henon, gen_iid, gen_logistic, gen_periodic, link_frequency_by_separation,
+    load_series, long_visibility_prob, make_windows, mean_degree_periodic,
+    mean_degree_periodic_exact, threshold_from_random, verify_ensemble, write_series,
 )
+from lphvg.theory import clustering_max_is_extrapolated, degree_table
 from oracles import affine_transform, load_series_reference
 from shapes import monotone_values, plateau_values, sawtooth_values, series_values
 
@@ -453,20 +457,78 @@ def test_rng_validation():
         RngConfig(0, -2)
 
 
-@pytest.mark.parametrize("config, args", [
-    (RngConfig, (1.5,)), (RngConfig, (-0.5,)), (RngConfig, (True,)), (RngConfig, (1, 0.5)),
-    (RngConfig, (1, False)), (RngConfig, (np.float64(1),)), (WindowConfig, (10.5, 3)),
-    (WindowConfig, (10, 3.0)), (WindowConfig, (True, 1)), (WindowConfig, (10, True)),
-])
-def test_configs_take_integers_only(config, args):
-    with pytest.raises(TypeError, match="must be an integer, got (float|bool)"):
-        config(*args)
+_CSV = object()  # stands for a two-row, two-column CSV file
+_G = build_lphvg([1.0, 3.0, 2.0, 4.0], 0)
+_FLOW = ("lorenz", 10, None, 0.01)  # FlowSpec's system, n, init and dt
+_DIST = DegreeDistribution(np.array([0, 0, 3, 1]), 4)
 
 
-def test_configs_take_numpy_integers():
+def _integer_cases():
+    """(callable, arguments, name): a float or a bool in each integer argument."""
+    cases = [
+        (RngConfig, (1.5,), "seed"), (RngConfig, (-0.5,), "seed"), (RngConfig, (True,), "seed"),
+        (RngConfig, (1, 0.5), "stream_id"), (RngConfig, (1, False), "stream_id"),
+        (RngConfig, (np.float64(1),), "seed"), (WindowConfig, (10.5, 3), "window_len"),
+        (WindowConfig, (10, 3.0), "step"), (WindowConfig, (True, 1), "window_len"),
+        (WindowConfig, (10, True), "step"),
+    ]
+    for bad in (1.5, True):
+        cases += [
+            (load_series, (_CSV, bad), "column index"),
+            (IidSpec, ("uniform", bad, RngConfig(0)), "n"),
+            (gen_periodic, (bad, 20, RngConfig(0)), "period"),
+            (gen_periodic, (1, bad, RngConfig(0)), "n"), (gen_logistic, (bad,), "n"),
+            (gen_henon, (bad,), "n"), (FlowSpec, ("lorenz", bad), "n"),
+            (FlowSpec, (*_FLOW, bad), "transient"), (FlowSpec, (*_FLOW, 0, bad), "stride"),
+            (FlowSpec, (*_FLOW, 0, 1, bad), "component"), (degree_pmf, (1, bad), "k"),
+            (clustering_min, (1, bad), "k"), (clustering_max, (1, bad), "k"),
+            (clustering_max_is_extrapolated, (1, bad), "k"),
+            (mean_degree_periodic, (1, bad), "period"),
+            (mean_degree_periodic_exact, (1, bad), "period"),
+            (long_visibility_prob, (1, bad), "sep"), (degree_table, (1, bad), "k_max"),
+            (verify_ensemble, (0, 100, bad), "seeds"),
+            (link_frequency_by_separation, (_G, bad), "max_sep"),
+            (threshold_from_random, (WindowConfig(10, 5), 30, 0, RngConfig(0), bad), "ensemble"),
+            (make_windows, (bad, WindowConfig(2, 1)), "n"), (_DIST.pmf, (bad,), "k"),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("call, args, name", _integer_cases())
+def test_configs_take_integers_only(tmp_path, call, args, name):
+    path = tmp_path / "s.csv"
+    path.write_text("1,2\n3,4\n")
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got (float|bool)"):
+        call(*(path if a is _CSV else a for a in args))
+
+
+def test_configs_take_numpy_integers(tmp_path):
     rng = RngConfig(np.uint64(2**64 - 1), np.int8(2))
     assert np.array_equal(rng.generator().random(3), RngConfig(2**64 - 1, 2).generator().random(3))
     assert make_windows(12, WindowConfig(np.int64(10), np.int32(2))) == [(0, 10), (2, 12)]
+    path = tmp_path / "s.csv"
+    path.write_text("1,2\n3,4\n")
+    assert list(load_series(path, np.int64(1)).values) == [2.0, 4.0]
+    assert degree_pmf(np.int64(1), np.int32(4)) == 1 / 5
+    assert _DIST.pmf(np.int64(3)) == 1 / 4
+    assert long_visibility_prob(np.int64(1), np.int16(3)) == 1 / 2
+    assert mean_degree_periodic(np.int64(0), np.int64(3)) == mean_degree_periodic(0, 3)
+    assert mean_degree_periodic_exact(2, np.int8(2)) == mean_degree_periodic_exact(2, 2)
+    assert clustering_min(1, np.int64(4)) == clustering_min(1, 4)
+    assert clustering_max(1, np.int64(5)) == clustering_max(1, 5)
+    assert degree_table(1, np.int64(8)) == degree_table(1, 8)
+    rng = RngConfig(3)
+    assert gen_periodic(np.int64(7), np.int64(100), rng) == gen_periodic(7, 100, rng)
+    assert gen_logistic(np.int64(5)) == gen_logistic(5)
+    assert gen_henon(np.int64(5)) == gen_henon(5)
+    assert gen_iid(IidSpec("uniform", np.int64(5), rng)) == gen_iid(IidSpec("uniform", 5, rng))
+    spec = FlowSpec("lorenz", np.int64(5), None, 0.01, np.int64(3), np.int8(2), np.int64(1))
+    assert gen_flow(spec) == gen_flow(FlowSpec("lorenz", 5, None, 0.01, 3, 2, 1))
+    freq = link_frequency_by_separation(_G, np.int64(2))
+    assert np.array_equal(freq, link_frequency_by_separation(_G, 2))
+    cfg = WindowConfig(10, 5)
+    theta = threshold_from_random(cfg, 30, 0, RngConfig(0), np.int64(2))
+    assert theta == threshold_from_random(cfg, 30, 0, RngConfig(0), 2)
 
 
 class _Point(Record):

@@ -257,11 +257,13 @@ class TestLongVisibility:
                 law(1.0, 5)
 
     def test_classic_returns_python_floats(self):
-        for rho, sep in ((np.int64(1), 1), (2, np.int64(7)), (np.int64(6), 8.9)):
+        for rho, sep in ((np.int64(1), 1), (2, np.int64(7))):
             value = long_visibility_prob_classic(rho, sep)
             assert type(value) is float
             assert value == long_visibility_prob_classic(int(rho), int(sep))
-        assert long_visibility_prob_classic(np.int64(2), 8.9) == 14 / 72
+        for rho in (np.int64(6), np.int64(2)):
+            with pytest.raises(TypeError, match="^sep must be an integer, got float$"):
+                long_visibility_prob_classic(rho, 8.9)
 
     def test_clamped(self):
         assert long_visibility_prob_classic(5, 7) == 1.0
