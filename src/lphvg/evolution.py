@@ -10,7 +10,7 @@ import numpy as np
 
 from .graph import VisibilityGraph, build_lphvg
 from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
-from .series import Record, RngConfig, as_values, validate_int, validate_rho
+from .series import Record, RngConfig, as_values, validate_int
 
 DEFAULT_ENSEMBLE = 10
 _THRESHOLD_STREAM_TAG = 0x7468  # namespaces the reference-series substreams
@@ -121,7 +121,7 @@ def threshold_from_random(
     built once; its windows' edge codes are cut from that build and go
     through the same distance kernel as distance_matrix.
     """
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     windows = _reference_windows(series_len, cfg, ensemble)
     off_diagonal = np.triu_indices(len(windows), k=1)
     best = math.inf
@@ -208,7 +208,7 @@ def evolve(
 ) -> EvolutionResult:
     """Run the full window pipeline; deterministic given (series, rho, cfg, rng)."""
     values = as_values(series)
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     windows = _reference_windows(values.size, cfg, ensemble)
     with _in_child(threshold_from_random, cfg, values.size, rho, rng, ensemble) as threshold:
         codes = _window_codes(build_lphvg(values, rho), windows)

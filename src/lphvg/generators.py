@@ -163,6 +163,7 @@ def rk4_step(deriv, state: np.ndarray, dt: float, params: dict) -> np.ndarray:
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is reported by DivergenceError alone
 def gen_flow(spec: FlowSpec) -> TimeSeries:
     """Integrate the flow, discard the transient, sample every `stride` steps."""
     lorenz = spec.system == "lorenz"

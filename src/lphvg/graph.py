@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .series import Record, as_values, validate_rho
+from .series import Record, as_values, validate_int
 
 ADJACENCY_EXPORT_MAX_NODES = 2000
 _EDGE_CHUNK = 1 << 17  # edges decoded at a time
@@ -120,7 +120,7 @@ def build_lphvg(series, rho: int) -> VisibilityGraph:
     share a rank) and costs O(min(rho+1, n) n log n) for any input shape.
     """
     x = as_values(series)
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     n = x.size
     if n < 2:
         raise ValueError(f"series must have at least 2 points, got {n}")
@@ -145,7 +145,7 @@ def build_lphvg_naive(series, rho: int) -> VisibilityGraph:
     Quadratic in memory, intended for cross-checking on small inputs.
     """
     x = as_values(series)
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     n = x.size
     if n < 2:
         raise ValueError(f"series must have at least 2 points, got {n}")

@@ -9,7 +9,7 @@ import numpy as np
 from . import theory
 from .generators import IidSpec, gen_iid
 from .graph import VisibilityGraph, build_lphvg
-from .series import Record, RngConfig, as_values, validate_int, validate_rho
+from .series import Record, RngConfig, as_values, validate_int
 
 PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
 PATH_SAMPLE_PAIRS = 2000 * 1999  # ordered pairs: n <= 2000 is exact
@@ -184,7 +184,7 @@ class FiniteSizeReport(Record):
 
 
 def finite_size_report(dist: DegreeDistribution, rho: int) -> FiniteSizeReport:
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     k_min = 2 * (rho + 1)
     per_k: list[tuple[int, float]] = []
     for k in range(k_min, dist.max_degree + 1):
@@ -233,7 +233,7 @@ def fit_tail(dist: DegreeDistribution, rho: int) -> TailFit:
     that cap (heavily deviating series), the range extends to every
     qualifying bin and the fit is flagged range_extended.
     """
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     k_min = 2 * (rho + 1)
     candidates = (np.flatnonzero(dist.counts[k_min:] >= TAIL_MIN_COUNT) + k_min).tolist()
     cutoff = finite_size_report(dist, rho).k0
@@ -255,7 +255,7 @@ def degree_law_chi2(dist: DegreeDistribution, rho: int) -> tuple[float, int]:
     Sums z^2 over consecutive bins from k = 2(rho+1) while the expected count
     n * P(k) stays >= DEGREE_CHI2_MIN_EXPECTED; returns (chi2, df).
     """
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     chi2 = 0.0
     k = 2 * (rho + 1)
     while True:
@@ -340,7 +340,7 @@ def discriminate(series, rho: int) -> DiscriminationResult:
     (a constant series, say) the fit fields are NaN.
     """
     values = as_values(series)
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     if values.size < DISCRIMINATE_SOFT_FLOOR:
         warnings.warn(
             f"series length {values.size} is below the statistical soft floor "

@@ -20,16 +20,13 @@ def validate_int(name: str, value, low: int = 0) -> int:
     return int(value)
 
 
-def validate_rho(rho: int) -> int:
-    return validate_int("rho", rho)
-
-
 @getattr(typing, "dataclass_transform", lambda **_: lambda c: c)(frozen_default=True)  # 3.11+
 class Record:
     """Immutable record: a subclass's own annotated names are its fields, in order, each defaulting
     to a class attribute of the same name. __init__ binds them as a call would, then runs the
     class's __post_init__ if it has one. Its state, which copy and pickle carry, is its fields
-    alone, ndarrays read-only; it compares (ndarrays by value), hashes and prints by them."""
+    alone, ndarrays read-only and numpy integers stored as int; it compares (ndarrays by value),
+    hashes and prints by them."""
 
     def __init_subclass__(cls):
         P = inspect.Parameter
@@ -42,16 +39,18 @@ class Record:
         bound.apply_defaults()
         self.__dict__.update(bound.arguments)
         getattr(self, "__post_init__", lambda: None)()
-        self.__setstate__({})  # locks the ndarray fields
+        self.__setstate__({})  # locks the ndarray fields, stores numpy integers as int
 
     def __getstate__(self) -> dict:
         return {name: self.__dict__[name] for name in self.__signature__.parameters}
 
     def __setstate__(self, state: dict):
         self.__dict__.update(state)
-        for value in self.__getstate__().values():
+        for name, value in self.__getstate__().items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+            elif isinstance(value, np.integer):
+                self.__dict__[name] = int(value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -109,7 +108,8 @@ class RngConfig(Record):
 
     def generator(self, *subkeys: int) -> np.random.Generator:
         """PCG64 generator for this stream; extra subkeys derive child streams."""
-        seq = np.random.SeedSequence((int(self.seed), int(self.stream_id), *map(int, subkeys)))
+        subkeys = (validate_int("subkey", k) for k in subkeys)
+        seq = np.random.SeedSequence((self.seed, self.stream_id, *subkeys))
         return np.random.Generator(np.random.PCG64(seq))
 
 

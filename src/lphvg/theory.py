@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .series import validate_int, validate_rho
+from .series import validate_int
 
 # Theorem scope for the clustering envelope as stated.
 CLUSTERING_RHO_MAX = 2
@@ -16,7 +16,7 @@ CLUSTERING_RHO_MAX = 2
 
 def decay_rate(rho: int) -> float:
     """Exponential decay rate of the degree law: ln((2rho+3)/(2rho+2))."""
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     return math.log((2 * rho + 3) / (2 * rho + 2))
 
 
@@ -27,7 +27,7 @@ def degree_pmf(rho: int, k: int) -> float:
     ...) are correctly rounded; returns 0.0 outside the support, and without
     the integer powers where the value is below 2**-1075 and so rounds to 0.0.
     """
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     m = validate_int("k", k) - 2 * (rho + 1)
     if m < 0 or m * math.log2((2 * rho + 3) / (2 * rho + 2)) > 1080:
         return 0.0
@@ -36,7 +36,7 @@ def degree_pmf(rho: int, k: int) -> float:
 
 def mean_degree(rho: int) -> float:
     """Asymptotic mean degree 4(rho+1) of an aperiodic series' LPHVG."""
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     return 4.0 * (rho + 1)
 
 
@@ -48,7 +48,7 @@ def mean_degree_periodic(rho: int, period: int) -> float:
     frees a penetration slot, an O(rho/T) effect; it is exact only at rho = 0
     (see the package README). mean_degree_periodic_exact gives the exact law.
     """
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     period = validate_int("period", period, 2 * rho + 2)
     return 4.0 * (rho + 1) * (1.0 - (2 * rho + 1) / (2.0 * period))
 
@@ -64,7 +64,7 @@ def mean_degree_periodic_exact(rho: int, period: int) -> float:
     sum is the divisor summatory function D(rho+1). Equals
     mean_degree_periodic at rho = 0 and 2(rho+1) at T = 1.
     """
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     period = validate_int("period", period, 1)
     slots = rho + 1
     own_copies = sum(slots // r for r in range(1, min(period, slots) + 1))
@@ -72,7 +72,7 @@ def mean_degree_periodic_exact(rho: int, period: int) -> float:
 
 
 def _check_scope(rho: int, unvalidated: bool) -> int:
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     if rho > CLUSTERING_RHO_MAX and not unvalidated:
         raise ValueError(
             f"clustering envelope is stated for rho in 0..{CLUSTERING_RHO_MAX}; "
@@ -107,7 +107,7 @@ def clustering_max(rho: int, k: int, *, unvalidated: bool = False) -> float:
 
 def clustering_max_is_extrapolated(rho: int, k: int) -> bool:
     """True when k lies below the stated domain k >= 2(2rho+1) of the max envelope."""
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     return validate_int("k", k) < 2 * (2 * rho + 1)
 
 
@@ -153,7 +153,7 @@ def long_visibility_prob(rho: int, sep: int) -> float:
     (2rho(rho+1)+2)/(sep(sep+1)) coincides with it only for rho <= 1 and
     overestimates beyond (see long_visibility_prob_classic).
     """
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     sep = validate_int("sep", sep, 1)
     if sep <= rho + 1:
         return 1.0
@@ -165,15 +165,13 @@ def long_visibility_prob_classic(rho: int, sep: int) -> float:
 
     Kept for comparison; exact only for rho in {0, 1}.
     """
-    if long_visibility_prob(rho, sep) == 1.0:  # exactly in the band; checks rho and sep too
-        return 1.0
-    rho, sep = int(rho), int(sep)
-    return min(1.0, (2 * rho * (rho + 1) + 2) / (sep * (sep + 1.0)))
+    rho, sep = validate_int("rho", rho), validate_int("sep", sep, 1)
+    return 1.0 if sep <= rho + 1 else min(1.0, (2 * rho * (rho + 1) + 2) / (sep * (sep + 1.0)))
 
 
 def degree_table(rho: int, k_max: int, *, unvalidated: bool = False) -> list[dict]:
     """Rows (k, pmf, c_min, c_max, c_max_extrapolated) for k = 2(rho+1)..k_max."""
-    rho = validate_rho(rho)
+    rho = validate_int("rho", rho)
     rows = []
     for k in range(2 * (rho + 1), validate_int("k_max", k_max) + 1):
         rows.append(

@@ -246,6 +246,13 @@ class TestThreshold:
             threshold_from_random(WindowConfig(2, 1), 8, 0, RngConfig(0), ensemble=5)
         assert len(builds) == 1
 
+    def test_numpy_window_sizes_do_not_wrap(self):
+        # window_len ** 2 as an int32 would wrap to a negative code-space size
+        cfg = WindowConfig(np.int32(46341), np.int32(46340))
+        theta = threshold_from_random(cfg, 92682, 0, RngConfig(1), 1)
+        assert theta == threshold_from_random(WindowConfig(46341, 46340), 92682, 0, RngConfig(1), 1)
+        assert theta == 394.97341682700625
+
     def test_non_integer_ensemble_refused_before_any_build(self, monkeypatch):
         builds = []
 

@@ -166,6 +166,11 @@ class TestFlows:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FlowSpec(**{"system": "lorenz", "n": 100, **kwargs})
 
+    def test_divergence_aborts(self):
+        # raised with no RuntimeWarning first, which the suite's filter would turn into an error
+        with pytest.raises(DivergenceError, match="non-finite at step"):
+            gen_flow(FlowSpec("lorenz", n=5, dt=1.0, transient=200))
+
     def test_lorenz_bounded(self):
         ts = gen_flow(FlowSpec("lorenz", 3000))
         assert np.max(np.abs(ts.values)) < 25.0

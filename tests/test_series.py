@@ -18,6 +18,7 @@ from lphvg import (
     load_series, long_visibility_prob, make_windows, mean_degree_periodic,
     mean_degree_periodic_exact, threshold_from_random, verify_ensemble, write_series,
 )
+from lphvg.evolution import WindowMetrics
 from lphvg.theory import clustering_max_is_extrapolated, degree_table
 from oracles import affine_transform, load_series_reference
 from shapes import monotone_values, plateau_values, sawtooth_values, series_values
@@ -455,6 +456,8 @@ def test_rng_validation():
         RngConfig(-1)
     with pytest.raises(ValueError):
         RngConfig(0, -2)
+    with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+        RngConfig(2**64)
 
 
 _CSV = object()  # stands for a two-row, two-column CSV file
@@ -490,6 +493,7 @@ def _integer_cases():
             (link_frequency_by_separation, (_G, bad), "max_sep"),
             (threshold_from_random, (WindowConfig(10, 5), 30, 0, RngConfig(0), bad), "ensemble"),
             (make_windows, (bad, WindowConfig(2, 1)), "n"), (_DIST.pmf, (bad,), "k"),
+            (RngConfig(1).generator, (bad,), "subkey"),
         ]
     return cases
 
@@ -529,6 +533,35 @@ def test_configs_take_numpy_integers(tmp_path):
     cfg = WindowConfig(10, 5)
     theta = threshold_from_random(cfg, 30, 0, RngConfig(0), np.int64(2))
     assert theta == threshold_from_random(cfg, 30, 0, RngConfig(0), 2)
+
+
+def _int_fields(record) -> dict:
+    """Each integer field of a record and of the records it holds, by dotted name."""
+    fields = {}
+    for name, value in vars(record).items():
+        if isinstance(value, Record):
+            fields.update({f"{name}.{k}": v for k, v in _int_fields(value).items()})
+        elif isinstance(value, (int, np.integer)):
+            fields[name] = value
+    return fields
+
+
+def _integer_records(t) -> list:
+    return [
+        RngConfig(t(5), t(2)), WindowConfig(t(10), t(3)), IidSpec("uniform", t(5), RngConfig(t(1))),
+        FlowSpec("lorenz", t(5), None, 0.01, t(3), t(2), t(1)),
+        WindowMetrics(t(0), t(10), 2.0, 0.5, 1.5),
+    ]
+
+
+@pytest.mark.parametrize("t", [np.int8, np.int32, np.int64, np.uint64])
+def test_records_store_numpy_integers_as_int(t):
+    for record, twin in zip(_integer_records(t), _integer_records(int)):
+        for again in (record, copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            fields = _int_fields(again)
+            assert fields == _int_fields(twin) and fields
+            assert all(type(v) is int for v in fields.values()), fields
 
 
 class _Point(Record):

@@ -192,6 +192,8 @@ class TestClusteringPmf:
             clustering_pmf_min(1, 0.77)
         with pytest.raises(ValueError, match="not attainable via the maximum envelope"):
             clustering_pmf_max(1, 0.8)  # k = 5, below the max envelope's domain k >= 6
+        with pytest.raises(ValueError, match=r"0\.9 is not attainable \(negative discriminant\)$"):
+            clustering_pmf_max(1, 0.9)  # 0.9 k^2 - 6.9 k + 14 = 0 has no real root
         with pytest.raises(ValueError):
             clustering_pmf_min(1, 0.0)
 
