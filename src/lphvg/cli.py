@@ -90,13 +90,21 @@ def _write_tables(args, tables: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str] | None, rows) -> None:
-    """Rows of Python values as CSV: floats as .17g, everything else via str."""
+    """Rows of Python values as CSV: floats as .17g, everything else via str. A 2-D
+    ndarray gives the bytes of its tolist() rows, formatting each distinct value once:
+    distinct by bit pattern, as np.unique by value would merge -0.0 into 0.0."""
+    if isinstance(rows, np.ndarray):
+        bits, inverse = np.unique(rows.ravel().view(f"u{rows.itemsize}"), return_inverse=True)
+        text = np.array([_fmt(v) for v in bits.view(rows.dtype).tolist()], dtype=object)
+        lines = [",".join(row) + "\n" for row in text[inverse].reshape(rows.shape).tolist()]
+    else:
+        lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
     def writer(p: Path):
         with p.open("w", encoding="utf-8") as fh:
             if header is not None:
                 fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(lines)
 
     _atomic_write(path, writer)
 
@@ -201,9 +209,9 @@ def cmd_evolve(args) -> int:
     cfg = WindowConfig(window_len=args.window_len, step=args.step)
     result = evolve(series, args.rho, cfg, RngConfig(args.seed), ensemble=args.ensemble)
     _write_tables(args, {
-        "distances.csv": (None, result.distances.tolist()),
-        "gamma.csv": (None, result.gamma.tolist()),
-        "recurrence.csv": (None, result.recurrence.tolist()),
+        "distances.csv": (None, result.distances),
+        "gamma.csv": (None, result.gamma),
+        "recurrence.csv": (None, result.recurrence),
         "window_metrics.csv": (
             ["window", "start", "stop", "mean_degree", "mean_clustering", "mean_path_length"],
             [(i, wm.start, wm.stop, wm.mean_degree, wm.mean_clustering, wm.mean_path_length)

@@ -9,7 +9,7 @@ import os
 import numpy as np
 
 from .graph import VisibilityGraph, build_lphvg
-from .metrics import mean_clustering, mean_degree_empirical, mean_path_length
+from .metrics import _window_clustering, mean_degree_empirical, mean_path_length
 from .series import Record, RngConfig, as_values, validate_int
 
 DEFAULT_ENSEMBLE = 10
@@ -63,7 +63,8 @@ def _code_distances(codes: list[np.ndarray], space: int) -> np.ndarray:
         seen = np.zeros(space, dtype=bool)
         for c in codes:
             seen[c] = True
-        rank = np.cumsum(seen) - 1
+        rank = np.cumsum(seen, dtype=_rank_dtype(int(sizes.sum())))
+        rank -= 1
         width = int(rank[-1]) + 1
         cols = (rank[c] for c in codes)
     else:
@@ -82,20 +83,24 @@ def _code_distances(codes: list[np.ndarray], space: int) -> np.ndarray:
     return np.sqrt(2.0 * (sizes[:, None] + sizes[None, :] - 2 * common))
 
 
+def _rank_dtype(count: int):
+    """int32 while a cumsum over `count` codes stays below 2**31, else int64."""
+    return np.int32 if count < 2**31 else np.int64
+
+
 def _window_codes(whole: VisibilityGraph, windows: list[tuple[int, int]]) -> list[np.ndarray]:
     """Each window's edge codes, cut from the whole graph's sorted codes i*n+j.
 
-    Window [a, b) holds the edges with a <= i and j < b: a run of codes found
-    by searchsorted on i, less those with j >= b. Their window codes
-    (i-a)*L + (j-a) keep the order, so each cut is sorted, as edge_codes is.
+    The windows share one length L. Window [a, b) holds the edges with a <= i
+    and j < b: a run of codes found by searchsorted on i, less those with
+    j >= b. Their window codes (i-a)*L + (j-a) = (i*L + j) - a*(L+1) keep the
+    order, so each cut is sorted, as edge_codes is.
     """
     i, j = np.divmod(whole.edge_codes, whole.n)
-    codes = []
-    for a, b in windows:
-        lo, hi = np.searchsorted(i, (a, b))
-        keep = j[lo:hi] < b
-        codes.append((i[lo:hi][keep] - a) * (b - a) + (j[lo:hi][keep] - a))
-    return codes
+    size = windows[0][1] - windows[0][0]
+    base = i * size + j
+    runs = np.searchsorted(i, windows).tolist()
+    return [base[lo:hi][j[lo:hi] < b] - a * (size + 1) for (a, b), (lo, hi) in zip(windows, runs)]
 
 
 def _reference_windows(series_len: int, cfg: WindowConfig, ensemble: int) -> list[tuple[int, int]]:
@@ -174,7 +179,9 @@ def _in_child(fn, *args):
     reads the pipe to EOF, where the child wrote its float's hex in one write. No bytes (no fork, a
     failed one, a child that raised or died) run fn(*args) in process, exact as fn is deterministic.
     The block's exit kills and reaps the child. Python 3.12+ warns of a fork with threads (numpy's
-    OpenBLAS pool): fn must call no BLAS routine and import nothing; the threshold does neither."""
+    OpenBLAS pool): fn must call no BLAS routine, and the threshold calls none. Its first
+    RngConfig.generator call imports numpy.random, with hashlib, secrets, hmac and base64: 10-15 ms
+    the child pays off the main path, where an i.i.d. evolve never loads numpy.random."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -211,17 +218,18 @@ def evolve(
     rho = validate_int("rho", rho)
     windows = _reference_windows(values.size, cfg, ensemble)
     with _in_child(threshold_from_random, cfg, values.size, rho, rng, ensemble) as threshold:
-        codes = _window_codes(build_lphvg(values, rho), windows)
+        whole = build_lphvg(values, rho)
+        codes = _window_codes(whole, windows)
         graphs = (VisibilityGraph(cfg.window_len, rho, c) for c in codes)
         per_window = tuple(
             WindowMetrics(
                 start=w[0],
                 stop=w[1],
                 mean_degree=mean_degree_empirical(g),
-                mean_clustering=mean_clustering(g),
+                mean_clustering=c,
                 mean_path_length=mean_path_length(g),
             )
-            for w, g in zip(windows, graphs)
+            for w, g, c in zip(windows, graphs, _window_clustering(whole, cfg.window_len, cfg.step))
         )
         dist = _code_distances(codes, cfg.window_len ** 2)
         theta = threshold()

@@ -11,7 +11,7 @@ from .generators import IidSpec, gen_iid
 from .graph import VisibilityGraph, build_lphvg
 from .series import Record, RngConfig, as_values, validate_int
 
-PATH_PROBE_DEPTH = 32  # deeper graphs (trending windows) go to scipy's per-source search
+PATH_PROBE_DEPTH = 32  # graphs over PATH_PROBE_DEPTH + 1 levels deep (trending windows) go to scipy
 PATH_SAMPLE_PAIRS = 2000 * 1999  # ordered pairs: n <= 2000 is exact
 
 # Verdict thresholds, calibrated on seeded uniform/gaussian/powerlaw series of
@@ -70,11 +70,13 @@ def degree_distribution(graph: VisibilityGraph) -> DegreeDistribution:
     return DegreeDistribution(np.bincount(graph.degrees()), graph.n)
 
 
-def _triangles(graph: VisibilityGraph) -> np.ndarray:
-    """Triangles through each node by degree-ordered compact-forward (Latapy 2008):
-    edges point from the lower (degree, index) end w up, so each triangle is one
-    linked pair u < v of w's out-neighbours (a bit of u's map of its next 64
-    indices, else u*n+v in edge_codes); even a hub costs O(m^1.5) lookups."""
+def _forward_pairs(graph: VisibilityGraph):
+    """Triangles by degree-ordered compact-forward (Latapy 2008): edges point from the lower
+    (degree, index) end w up, so each triangle is one linked pair u < v of w's out-neighbours
+    (a bit of u's map of its next 64 indices, else u*n+v in edge_codes); even a hub costs
+    O(m^1.5) lookups. Returns (w, out), the out-edges w -> out ascending per node, and an
+    iterator of (a, b, first, second, hit) chunks of about 65536 pairs: the pairs
+    out[first] < out[second] of out-edges a..b-1 and whether each is linked."""
     n, k, nb = graph.n, graph.degrees(), graph.indices
     src = np.repeat(np.arange(n), k)
     fwd = (k[src] < k[nb]) | ((k[src] == k[nb]) & (src < nb))
@@ -83,28 +85,81 @@ def _triangles(graph: VisibilityGraph) -> np.ndarray:
     gap = (nb - src - 1).astype(np.uint64)  # wraps round for left neighbours
     near = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(near, src[gap < 64], np.left_shift(np.uint64(1), gap[gap < 64]))
-    cum, codes, hits = np.cumsum(later), graph.edge_codes, np.zeros((2, out.size))
+    cum, codes = np.cumsum(later), graph.edge_codes
     ends = np.searchsorted(cum, np.arange(1 << 16, cum[-1] if cum.size else 0, 1 << 16))
-    for a, b in zip(np.r_[0, ends], np.r_[ends, out.size]):  # 65536 pairs at a time
-        r = later[a:b]
-        first = np.repeat(np.arange(a, b), r)
-        second = first + np.arange(first.size) - np.repeat(np.cumsum(r) - r, r) + 1
-        u, v = out[first], out[second]
-        d = (v - u - 1).astype(np.uint64)
-        hit = (d < 64) & (near[u] >> np.minimum(d, 63) & 1).astype(bool)
-        far = np.flatnonzero(d >= 64)
-        code = u[far] * n + v[far]
-        hit[far] = codes[np.searchsorted(codes, code).clip(max=codes.size - 1)] == code
+
+    def chunks():
+        for a, b in zip(np.r_[0, ends], np.r_[ends, out.size]):
+            r = later[a:b]
+            first = np.repeat(np.arange(a, b), r)
+            second = first + np.arange(first.size) - np.repeat(np.cumsum(r) - r, r) + 1
+            u, v = out[first], out[second]
+            d = (v - u - 1).astype(np.uint64)
+            hit = (d < 64) & (near[u] >> np.minimum(d, 63) & 1).astype(bool)
+            far = np.flatnonzero(d >= 64)
+            code = u[far] * n + v[far]
+            hit[far] = codes[np.searchsorted(codes, code).clip(max=codes.size - 1)] == code
+            yield a, b, first, second, hit
+
+    return w, out, chunks()
+
+
+def _triangles(graph: VisibilityGraph) -> np.ndarray:
+    """Triangles through each node: each linked pair counts for w, u and v."""
+    w, out, chunks = _forward_pairs(graph)
+    hits = np.zeros((2, out.size))
+    for a, b, first, second, hit in chunks:
         hits[0, a:b] += np.bincount(first - a, hit, b - a)  # triangles found as u
         as_v = np.bincount(second - a, hit)  # and as v
         hits[1, a : a + as_v.size] += as_v
+    n = graph.n
     return (np.bincount(w, hits[0], n) + np.bincount(out, hits.sum(0), n)).astype(np.int64)
+
+
+def _per_window(cliques: np.ndarray, n: int, window_len: int, step: int) -> np.ndarray:
+    """counts[t, x - t*step]: the cliques through node x inside window t, for the windows
+    [t*step, t*step + L) of 0..n-1, L = window_len. A clique, a column of node indices
+    spanning lo to hi, lies in windows ceil((hi - L + 1) / step) to floor(lo / step). Node x
+    lies in at most (L-1)//step + 1 windows, window t in slot x//step - t: a difference over
+    slots counts each. A clique in no window gets first = last + 1: its +1 and -1 cancel."""
+    count = (n - window_len) // step + 1
+    last = np.minimum(cliques.min(0) // step, count - 1)
+    first = np.minimum(np.maximum(-((window_len - 1 - cliques.max(0)) // step), 0), last + 1)
+    slots = (window_len - 1) // step + 2  # the last slot only ends ranges
+    node, size = np.arange(n), n * slots
+    row = (node * slots + node // step + 1)[cliques]  # slot 0 of node x: window x//step
+    diff = np.bincount((row - last - 1).ravel(), minlength=size)[:size]
+    diff -= np.bincount((row - first).ravel(), minlength=size)[:size]
+    counts = np.cumsum(diff.reshape(n, slots), axis=1)
+    t = np.arange(count)[:, None]
+    x = t * step + np.arange(window_len)
+    return counts[x, x // step - t]
+
+
+def _window_clustering(graph: VisibilityGraph, window_len: int, step: int) -> list[float]:
+    """mean_clustering of the subgraph induced on each window [t*step, t*step + window_len)
+    that fits in 0..n-1, from one triangle pass over the whole graph. For an LPHVG, that
+    subgraph is the window's own LPHVG."""
+    n = graph.n
+    k = _per_window(np.array(np.divmod(graph.edge_codes, n)), n, window_len, step)
+    w, out, chunks = _forward_pairs(graph)
+    triangles = []
+    for _, _, first, second, hit in chunks:
+        first, second = first[hit], second[hit]
+        triangles.append((w[first], out[first], out[second]))
+    tri = _per_window(np.concatenate(triangles, 1), n, window_len, step)
+    return [sum(c) / window_len for c in _local_clustering(k, tri).tolist()]
+
+
+def _local_clustering(k: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """2 * triangles / (k(k-1)) entrywise, 0 below degree 2."""
+    pairs = k * (k - 1)
+    return np.divide(2 * triangles, pairs, out=np.zeros(k.shape), where=pairs > 0)
 
 
 def _clustering(graph: VisibilityGraph) -> np.ndarray:
     """Local clustering of every node, 2 * triangles / (k(k-1))."""
-    pairs = graph.degrees() * (graph.degrees() - 1)
-    return np.divide(2 * _triangles(graph), pairs, out=np.zeros(graph.n), where=pairs > 0)
+    return _local_clustering(graph.degrees(), _triangles(graph))
 
 
 def mean_degree_empirical(graph: VisibilityGraph) -> float:
@@ -118,20 +173,25 @@ def mean_clustering(graph: VisibilityGraph) -> float:
 def _bfs_distance_sum(graph: VisibilityGraph, sources: np.ndarray, max_depth: int):
     """Sum of BFS distances from the distinct `sources`, run at once (MS-BFS): sources[s]
     is bit s%64 of word s//64 of each node's row, a level is one reduceat over the
-    CSR rows (none may be empty). inf if a node is unreachable, None past max_depth."""
+    CSR rows (none may be empty). It stops at the level that reaches the last
+    (node, source) pair. inf if a node is unreachable, None if one lies more than
+    max_depth + 1 levels away."""
     src = np.arange(sources.size)
     seen = np.zeros((graph.n, (src.size + 63) // 64), dtype=np.uint64)
     seen[sources, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
-    frontier, total = seen, 0
+    frontier, total, unseen = seen, 0, src.size * (graph.n - 1)
     for level in range(1, max_depth + 2):
         frontier = np.bitwise_or.reduceat(
             np.take(frontier, graph.indices, axis=0), graph.indptr[:-1], axis=0)
         frontier &= ~seen
         count = int(np.bitwise_count(frontier).sum())
         if count == 0:
-            return total if int(np.bitwise_count(seen).sum()) == graph.n * src.size else math.inf
-        seen |= frontier
+            return math.inf
         total += level * count
+        unseen -= count
+        if unseen == 0:
+            return total
+        seen |= frontier
     return None
 
 
@@ -152,7 +212,7 @@ def mean_path_length(graph: VisibilityGraph) -> float:
     n(n-1) ordered pairs fit in PATH_SAMPLE_PAIRS, so n <= 2000; else the
     fewest whole 64-source words of random nodes (seed 0) that cover
     PATH_SAMPLE_PAIRS ordered pairs. They run as one bit-parallel BFS, or
-    through scipy if the first 64 sources probe deeper than PATH_PROBE_DEPTH.
+    through scipy if the first 64 sources probe deeper than PATH_PROBE_DEPTH + 1.
     """
     n = graph.n
     if graph.degrees().min() == 0:

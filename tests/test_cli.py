@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lphvg
-from lphvg.cli import build_parser, main
+from lphvg.cli import _write_csv, build_parser, main
 from oracles import FAULTY_BUILDS
 
 ROOT = Path(__file__).parents[1]
@@ -275,13 +275,30 @@ main(["verify", "--rho", "1", "--n", "600", "--seeds", "3", "--outdir", {str(tmp
 
 
 def test_iid_evolve_skips_scipy(tmp_path):
-    # shallow i.i.d. windows take the BFS, and distances need no sparse product
+    # shallow i.i.d. windows take the BFS, and distances need no sparse product; only the
+    # forked threshold draws reference series, so only the child imports numpy.random
     src = tmp_path / "s.csv"
     src.write_text("\n".join(format(v, ".17g") for v in np.random.default_rng(2).random(1200)))
     code = f"""from lphvg.cli import main
 assert main(["evolve", "--input", {str(src)!r}, "--rho", "2", "--window-len", "300",
              "--step", "100", "--ensemble", "2", "--outdir", {str(tmp_path / "run")!r}]) == 0"""
-    assert scipy_modules_after(code) == []
+    modules = modules_after(code)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert "numpy.random" not in modules
+
+
+def test_matrix_csv_matches_row_csv(tmp_path):
+    # each distinct bit pattern is formatted once: -0.0 and nan payloads keep their own text
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    floats = np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 5e-324, -5e-324, 0.1],
+                       [1 / 3, -0.0, payload_nan, 0.0]])
+    for m in (floats, np.array([[1, 0, -1], [127, -128, 0]], dtype=np.int8),
+              np.zeros((0, 0)), np.zeros((2, 0), dtype=np.int8)):
+        _write_csv(tmp_path / "array.csv", None, m)
+        _write_csv(tmp_path / "rows.csv", None, m.tolist())
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    _write_csv(tmp_path / "array.csv", None, floats)
+    assert (tmp_path / "array.csv").read_text().splitlines()[0] == "0,-0,nan,inf"
 
 
 def test_runs_with_scipy_blocked(tmp_path):

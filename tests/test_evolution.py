@@ -17,17 +17,19 @@ from lphvg import (
     gen_logistic,
     gen_periodic,
     make_windows,
+    mean_clustering,
     mean_degree_empirical,
     recurrence_matrix,
     threshold_from_random,
 )
 import lphvg.evolution
 from lphvg.cli import main
-from lphvg.evolution import _code_distances, _window_codes
+from lphvg.evolution import _code_distances, _rank_dtype, _window_codes
 from lphvg.generators import IidSpec
+from lphvg.metrics import _window_clustering
 
 from oracles import graph_distance
-from shapes import monotone_values, plateau_values, rhos, sawtooth_values
+from shapes import monotone_values, plateau_values, rhos, sawtooth_values, series_values
 
 
 def pairwise(graphs):
@@ -203,6 +205,53 @@ class TestDistanceMatrix:
         assert distance_matrix([]).shape == (0, 0)
         with pytest.raises(ValueError, match="node counts differ"):
             distance_matrix([build_lphvg([1, 2, 3], 0), build_lphvg([1, 2], 0)])
+
+    def test_ranks_are_int32_below_two_to_the_31_codes(self):
+        # a cumsum over fewer codes stays below 2**31; from 2**31 codes on it needs int64
+        assert _rank_dtype(2**31 - 1) is np.int32
+        assert _rank_dtype(2**31) is np.int64
+
+
+def codes_by_formula(whole, windows):
+    """Each window's codes (i-a)*L + (j-a) from a mask of its edges, window by window."""
+    i, j = np.divmod(whole.edge_codes, whole.n)
+    codes = []
+    for a, b in windows:
+        keep = (i >= a) & (j < b)
+        codes.append((i[keep] - a) * (b - a) + (j[keep] - a))
+    return codes
+
+
+class TestWindowClustering:
+    """Every window's mean clustering from one pass over the whole graph."""
+
+    @pytest.mark.parametrize(
+        "values", [series_values, monotone_values, plateau_values, sawtooth_values],
+        ids=["floats", "monotone", "plateau", "sawtooth"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rho=st.integers(0, 3))
+    def test_matches_each_window_built_alone(self, values, data, rho):
+        x = np.asarray(data.draw(values))
+        window_len = data.draw(st.integers(min_value=2, max_value=x.size))
+        step = data.draw(st.integers(1, window_len - 1))
+        cfg = WindowConfig(window_len, step)
+        whole = build_lphvg(x, rho)
+        windows = make_windows(x.size, cfg)
+        assert all(np.array_equal(c, f) for c, f in zip(
+            _window_codes(whole, windows), codes_by_formula(whole, windows), strict=True))
+        assert _window_clustering(whole, window_len, step) == [
+            mean_clustering(g) for g in window_builds(x, rho, cfg)]
+
+    @pytest.mark.parametrize("rho", [0, 1, 2, 3])
+    def test_uneven_step_and_a_last_window_short_of_the_end(self, rho):
+        rng = np.random.default_rng(rho)
+        cfg = WindowConfig(60, 25)
+        for x in (rng.random(263), -np.arange(263.0) + 2 * rng.standard_normal(263)):
+            windows = make_windows(x.size, cfg)
+            assert cfg.window_len % cfg.step and windows[-1][1] < x.size
+            assert _window_clustering(build_lphvg(x, rho), 60, 25) == [
+                mean_clustering(g) for g in window_builds(x, rho, cfg)]
 
 
 class TestThreshold:

@@ -281,6 +281,15 @@ class TestPathLength:
             assert mean_path_length(g) == default == path_length_reference(g)
             monkeypatch.undo()
 
+    def test_probe_finishes_a_graph_one_level_past_its_depth(self, monkeypatch):
+        # a path's ends lie n-1 levels apart; the probe runs PATH_PROBE_DEPTH + 1 levels
+        monkeypatch.setattr(lphvg.metrics, "_shortest_paths", None)  # calling it fails
+        n = PATH_PROBE_DEPTH + 2
+        exact = n * (n * n - 1) // 3  # the sum of |i - j| over ordered pairs
+        assert _bfs_distance_sum(path_graph(n), np.arange(n), PATH_PROBE_DEPTH) == exact
+        assert mean_path_length(path_graph(n)) == (n + 1) / 3
+        assert _bfs_distance_sum(path_graph(n + 1), np.arange(n + 1), PATH_PROBE_DEPTH) is None
+
     def test_bfs_and_scipy_sum_agree_on_sampled_sources(self):
         n = 3000
         g = build_lphvg(np.random.default_rng(8).random(n), 2)
