@@ -219,6 +219,7 @@ def evolve(
     windows = _reference_windows(values.size, cfg, ensemble)
     with _in_child(threshold_from_random, cfg, values.size, rho, rng, ensemble) as threshold:
         whole = build_lphvg(values, rho)
+        clustering = _window_clustering(whole, cfg.window_len, cfg.step)  # its scratch goes first
         codes = _window_codes(whole, windows)
         graphs = (VisibilityGraph(cfg.window_len, rho, c) for c in codes)
         per_window = tuple(
@@ -229,7 +230,7 @@ def evolve(
                 mean_clustering=c,
                 mean_path_length=mean_path_length(g),
             )
-            for w, g, c in zip(windows, graphs, _window_clustering(whole, cfg.window_len, cfg.step))
+            for w, g, c in zip(windows, graphs, clustering)
         )
         dist = _code_distances(codes, cfg.window_len ** 2)
         theta = threshold()

@@ -116,20 +116,26 @@ def _triangles(graph: VisibilityGraph) -> np.ndarray:
     return (np.bincount(w, hits[0], n) + np.bincount(out, hits.sum(0), n)).astype(np.int64)
 
 
-def _per_window(cliques: np.ndarray, n: int, window_len: int, step: int) -> np.ndarray:
+def _per_window(parts, n: int, window_len: int, step: int) -> np.ndarray:
     """counts[t, x - t*step]: the cliques through node x inside window t, for the windows
-    [t*step, t*step + L) of 0..n-1, L = window_len. A clique, a column of node indices
-    spanning lo to hi, lies in windows ceil((hi - L + 1) / step) to floor(lo / step). Node x
-    lies in at most (L-1)//step + 1 windows, window t in slot x//step - t: a difference over
-    slots counts each. A clique in no window gets first = last + 1: its +1 and -1 cancel."""
+    [t*step, t*step + L) of 0..n-1, L = window_len. `parts` yields arrays whose columns are
+    cliques of node indices. One spanning lo to hi lies in windows ceil((hi - L + 1) / step)
+    to floor(lo / step). Node x lies in at most (L-1)//step + 1 windows, window t in slot
+    x//step - t: a difference over slots counts each. A clique in no window gets
+    first = last + 1: its +1 and -1 cancel."""
     count = (n - window_len) // step + 1
-    last = np.minimum(cliques.min(0) // step, count - 1)
-    first = np.minimum(np.maximum(-((window_len - 1 - cliques.max(0)) // step), 0), last + 1)
     slots = (window_len - 1) // step + 2  # the last slot only ends ranges
     node, size = np.arange(n), n * slots
-    row = (node * slots + node // step + 1)[cliques]  # slot 0 of node x: window x//step
-    diff = np.bincount((row - last - 1).ravel(), minlength=size)[:size]
-    diff -= np.bincount((row - first).ravel(), minlength=size)[:size]
+    base = node * slots + node // step + 1  # slot 0 of node x: window x//step
+    diff = np.zeros(size, dtype=np.int64)
+    for cliques in parts:  # one part at a time, so the scratch stays that small
+        last = np.minimum(cliques.min(0) // step, count - 1)
+        first = np.minimum(np.maximum(-((window_len - 1 - cliques.max(0)) // step), 0), last + 1)
+        row = base[cliques]
+        row -= last + 1  # where each clique's range of slots starts
+        diff += np.bincount(row.ravel(), minlength=size)[:size]
+        row += last + 1 - first  # and where it ends
+        diff -= np.bincount(row.ravel(), minlength=size)[:size]
     counts = np.cumsum(diff.reshape(n, slots), axis=1)
     t = np.arange(count)[:, None]
     x = t * step + np.arange(window_len)
@@ -140,14 +146,17 @@ def _window_clustering(graph: VisibilityGraph, window_len: int, step: int) -> li
     """mean_clustering of the subgraph induced on each window [t*step, t*step + window_len)
     that fits in 0..n-1, from one triangle pass over the whole graph. For an LPHVG, that
     subgraph is the window's own LPHVG."""
-    n = graph.n
-    k = _per_window(np.array(np.divmod(graph.edge_codes, n)), n, window_len, step)
+    n, codes = graph.n, graph.edge_codes
+    edges = (np.array(np.divmod(codes[a : a + n], n)) for a in range(0, codes.size, n))  # n a part
     w, out, chunks = _forward_pairs(graph)
-    triangles = []
-    for _, _, first, second, hit in chunks:
-        first, second = first[hit], second[hit]
-        triangles.append((w[first], out[first], out[second]))
-    tri = _per_window(np.concatenate(triangles, 1), n, window_len, step)
+
+    def triangles():
+        for _, _, first, second, hit in chunks:
+            first, second = first[hit], second[hit]
+            yield np.array([w[first], out[first], out[second]])
+
+    k = _per_window(edges, n, window_len, step)
+    tri = _per_window(triangles(), n, window_len, step)
     return [sum(c) / window_len for c in _local_clustering(k, tri).tolist()]
 
 
