@@ -219,7 +219,8 @@ def evolve(
     windows = _reference_windows(values.size, cfg, ensemble)
     with _in_child(threshold_from_random, cfg, values.size, rho, rng, ensemble) as threshold:
         whole = build_lphvg(values, rho)
-        clustering = _window_clustering(whole, cfg.window_len, cfg.step)  # its scratch goes first
+        # before the cuts, so its scratch and theirs are never held together
+        clustering = _window_clustering(whole, cfg.window_len, cfg.step)
         codes = _window_codes(whole, windows)
         graphs = (VisibilityGraph(cfg.window_len, rho, c) for c in codes)
         per_window = tuple(
