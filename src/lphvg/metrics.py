@@ -144,19 +144,15 @@ def _per_window(parts, n: int, window_len: int, step: int) -> np.ndarray:
 
 def _window_clustering(graph: VisibilityGraph, window_len: int, step: int) -> list[float]:
     """mean_clustering of the subgraph induced on each window [t*step, t*step + window_len)
-    that fits in 0..n-1, from one triangle pass over the whole graph. For an LPHVG, that
-    subgraph is the window's own LPHVG."""
-    n, codes = graph.n, graph.edge_codes
-    edges = (np.array(np.divmod(codes[a : a + n], n)) for a in range(0, codes.size, n))  # n a part
+    that fits in 0..n-1, from one triangle pass over the whole graph, whose forward edges
+    (w, out) hold every edge once. For an LPHVG, that subgraph is the window's own LPHVG."""
+    n = graph.n
     w, out, chunks = _forward_pairs(graph)
-
-    def triangles():
-        for _, _, first, second, hit in chunks:
-            first, second = first[hit], second[hit]
-            yield np.array([w[first], out[first], out[second]])
-
+    edges = (np.array([w[a : a + n], out[a : a + n]]) for a in range(0, out.size, n))  # n a part
+    linked = ((first[hit], second[hit]) for _, _, first, second, hit in chunks)
+    triangles = (np.array([w[f], out[f], out[s]]) for f, s in linked)
     k = _per_window(edges, n, window_len, step)
-    tri = _per_window(triangles(), n, window_len, step)
+    tri = _per_window(triangles, n, window_len, step)
     return [sum(c) / window_len for c in _local_clustering(k, tri).tolist()]
 
 

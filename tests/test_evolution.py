@@ -429,23 +429,52 @@ class TestEvolve:
         # phase at 39.1, so the recurrence is the same-phase mask
         assert np.array_equal(res.recurrence, same.astype(np.int8))
 
-    def test_iid_then_periodic_blocks(self):
-        # 4300 i.i.d. points, then period 20, which divides the step: every
-        # periodic window holds the same values, so the same graph
+    @pytest.mark.parametrize("period, periodic_farthest, cross_nearest, cross_farthest, cross", [
+        (20, 0, 1961, 2113, 0),
+        (7, 1692, 1700, 1923, 39 * 39),
+    ], ids=["period20", "period7"])
+    def test_iid_then_periodic_blocks(self, period, periodic_farthest, cross_nearest,
+                                      cross_farthest, cross):
+        # 4300 i.i.d. points, then a period. Period 20 divides the step: every
+        # periodic window holds the same values, so the same graph. Period-7
+        # windows differ, yet each has few long-range edges: sqrt(2|A^B|)
+        # puts every one within theta of every i.i.d. window. As measured at
+        # this seed: theta 62.466, below the closest i.i.d. pair (63.77)
         values = np.concatenate([gen_iid(IidSpec("uniform", 4300, RngConfig(1))).values,
-                                 gen_periodic(20, 4300, RngConfig(2)).values])
+                                 gen_periodic(period, 4300, RngConfig(2)).values])
         res = evolve(values, 2, WindowConfig(500, 100), RngConfig(0), ensemble=10)
         starts, stops = np.array(res.windows).T
         iid, periodic = stops <= 4300, starts >= 4300
         assert res.window_count == 82 and iid.sum() == periodic.sum() == 39
-        assert np.all(res.distances[np.ix_(periodic, periodic)] == 0)
-        assert np.all(res.recurrence[np.ix_(periodic, periodic)] == 1)
-        # as measured at this seed: theta 62.466, below the closest i.i.d. pair
-        # (63.77) and the closest cross-regime pair (62.63), so neither recurs
-        assert res.theta == pytest.approx(62.466, abs=1e-3)
-        off = ~np.eye(39, dtype=bool)
-        assert np.all(res.recurrence[np.ix_(iid, iid)][off] == 0)
-        assert np.all(res.recurrence[np.ix_(iid, periodic)] == 0)
+        assert res.theta.hex() == "0x1.f3ba595b53a63p+5"
+        assert res.distances[np.ix_(periodic, periodic)].max() == math.sqrt(2 * periodic_farthest)
+        across = res.distances[np.ix_(iid, periodic)]
+        assert (across.min(), across.max()) == (math.sqrt(2 * cross_nearest),
+                                                math.sqrt(2 * cross_farthest))
+        assert res.recurrence[np.ix_(iid, periodic)].sum() == cross
+        assert res.recurrence[np.ix_(iid, iid)].sum() == 39  # the diagonal alone
+        assert res.recurrence[np.ix_(periodic, periodic)].sum() == 39 * 39
+
+    @pytest.mark.parametrize("series, recurring, nearest, farthest", [
+        ("distinct", 0, 2023, 2222),
+        ("rounded", 180, 1890, 2132),  # 101 levels
+        ("two-level", 650, 599, 675),
+    ])
+    def test_ties_inflate_recurrence(self, series, recurring, nearest, farthest):
+        # Ties cut long-range edges, which moves windows closer together than
+        # i.i.d. windows of distinct values, whose ensemble sets theta
+        rng = np.random.default_rng(4)
+        two_level = rng.integers(0, 2, 3000)
+        x = {"distinct": np.random.default_rng(4).random(3000),
+             "rounded": np.round(rng.random(3000), 2),  # drawn right after the two levels
+             "two-level": two_level}[series]
+        res = evolve(x, 2, WindowConfig(500, 100), RngConfig(0), ensemble=2)
+        assert res.window_count == 26 and res.windows[-1] == (2500, 3000)
+        assert res.theta.hex() == "0x1.fb5a9a7dfb809p+5"
+        off = ~np.eye(26, dtype=bool)
+        d = res.distances[off]
+        assert (d.min(), d.max()) == (math.sqrt(2 * nearest), math.sqrt(2 * farthest))
+        assert res.recurrence[off].sum() == recurring
 
     def test_deterministic_replay(self):
         ts = gen_iid(IidSpec("uniform", 300, RngConfig(12)))
