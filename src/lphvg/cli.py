@@ -35,7 +35,7 @@ from .generators import (
 )
 from .graph import build_lphvg, check_adjacency_export, write_adjacency_csv, write_edge_list
 from .metrics import discriminate, verify_ensemble
-from .series import RngConfig, TimeSeries, load_series, write_series
+from .series import RngConfig, TimeSeries, load_series, write_series, write_table
 
 def _atomic_write(path: Path, writer) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -85,34 +85,8 @@ def _write_tables(args, tables: dict) -> None:
     """Write each {name: (header, rows)} table into --outdir, then its manifest."""
     outdir = Path(args.outdir)
     for name, (header, rows) in tables.items():
-        _write_csv(outdir / name, header, rows)
+        _atomic_write(outdir / name, lambda p: write_table(p, header, rows, "\n"))
     _write_manifest(outdir / "manifest.json", args, {name: outdir / name for name in tables})
-
-
-def _write_csv(path: Path, header: list[str] | None, rows) -> None:
-    """Rows of Python values as CSV: floats as .17g, everything else via str. A 2-D
-    ndarray gives the bytes of its tolist() rows, formatting each distinct value once:
-    distinct by bit pattern, as np.unique by value would merge -0.0 into 0.0."""
-    if isinstance(rows, np.ndarray):
-        bits, inverse = np.unique(rows.ravel().view(f"u{rows.itemsize}"), return_inverse=True)
-        text = np.array([_fmt(v) for v in bits.view(rows.dtype).tolist()], dtype=object)
-        lines = [",".join(row) + "\n" for row in text[inverse].reshape(rows.shape).tolist()]
-    else:
-        lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
-
-    def writer(p: Path):
-        with p.open("w", encoding="utf-8") as fh:
-            if header is not None:
-                fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
-
-    _atomic_write(path, writer)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
 
 
 def _generate_series(args) -> TimeSeries:

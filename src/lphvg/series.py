@@ -1,5 +1,6 @@
 """Core domain types: the immutable record base, time series and seeded RNG configuration; CSV
-ingestion by one numpy parse, with a csv.reader walk for what numpy does not read in full."""
+ingestion by one numpy parse, with a csv.reader walk for what numpy does not read in full; and
+write_table, the one CSV writer, for series files and every numeric table."""
 from __future__ import annotations
 
 import csv
@@ -209,9 +210,18 @@ def load_series(path, column: str | int = 0, has_header: bool = False) -> TimeSe
     return TimeSeries(values)
 
 
+def write_table(path, header: list[str] | None, rows, newline: str) -> None:
+    """Write a 2-D ndarray or rows of numbers as CSV bytes, lines ending in `newline`: each cell
+    as float64 in .17g (an integer below 1e17 prints as its digits), each distinct bit pattern
+    formatted once, as np.unique by value would merge -0.0 into 0.0."""
+    table = np.asarray(rows, dtype=np.float64)
+    bits, inverse = np.unique(table.view(np.uint64), return_inverse=True)  # inverse: table's shape
+    text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+    lines = [] if header is None else [",".join(header)]
+    lines += map(",".join, text[inverse].tolist())
+    Path(path).write_bytes((newline.join(lines) + newline if lines else "").encode())
+
+
 def write_series(series: TimeSeries, path) -> None:
-    """Write a series as a `value` column of 17-significant-digit decimals (exact round-trip)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["value"])
-        w.writerows([format(v, ".17g")] for v in series.values)
+    """Write a series as a `value` column of .17g decimals (exact round-trip) in CRLF lines."""
+    write_table(path, ["value"], series.values[:, None], "\r\n")

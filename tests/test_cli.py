@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lphvg
-from lphvg.cli import _write_csv, build_parser, main
+from lphvg.cli import build_parser, main
 from oracles import FAULTY_BUILDS
 
 ROOT = Path(__file__).parents[1]
@@ -285,20 +285,6 @@ assert main(["evolve", "--input", {str(src)!r}, "--rho", "2", "--window-len", "3
     modules = modules_after(code)
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
     assert "numpy.random" not in modules
-
-
-def test_matrix_csv_matches_row_csv(tmp_path):
-    # each distinct bit pattern is formatted once: -0.0 and nan payloads keep their own text
-    payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-    floats = np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 5e-324, -5e-324, 0.1],
-                       [1 / 3, -0.0, payload_nan, 0.0]])
-    for m in (floats, np.array([[1, 0, -1], [127, -128, 0]], dtype=np.int8),
-              np.zeros((0, 0)), np.zeros((2, 0), dtype=np.int8)):
-        _write_csv(tmp_path / "array.csv", None, m)
-        _write_csv(tmp_path / "rows.csv", None, m.tolist())
-        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-    _write_csv(tmp_path / "array.csv", None, floats)
-    assert (tmp_path / "array.csv").read_text().splitlines()[0] == "0,-0,nan,inf"
 
 
 def test_runs_with_scipy_blocked(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lphvg.series
-from lphvg.series import Record
+from lphvg.series import Record, write_table
 from lphvg import (
     DegreeDistribution, FlowSpec, IidSpec, RngConfig, TimeSeries, VisibilityGraph, WindowConfig,
     build_lphvg, clustering_max, clustering_min, degree_distribution, degree_pmf, discriminate,
@@ -152,6 +152,34 @@ def test_roundtrip_exact(tmp_path):
     write_series(ts, p)
     back = load_series(p, column="value", has_header=True)
     assert np.array_equal(back.values, ts.values)
+
+
+_PAYLOAD_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("header, rows, expected", [
+    # each distinct bit pattern is formatted once, so -0.0 keeps its sign
+    (None, np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 5e-324, -5e-324, 0.1],
+                     [1 / 3, _PAYLOAD_NAN, 1e16, -0.0]]),
+     b"0,-0,nan,inf\n-inf,4.9406564584124654e-324,-4.9406564584124654e-324,0.10000000000000001\n"
+     b"0.33333333333333331,nan,10000000000000000,-0\n"),
+    (None, np.array([[1, 0, -1], [127, -128, 0]], dtype=np.int8), b"1,0,-1\n127,-128,0\n"),
+    (["k", "count", "pmf"], [(4, 120, 0.25), (5, 7, 1 / 3), (6, 10**16, -0.0)],
+     b"k,count,pmf\n4,120,0.25\n5,7,0.33333333333333331\n6,10000000000000000,-0\n"),
+    (None, [], b""),
+    (["k"], [], b"k\n"),
+    (None, np.zeros((0, 0)), b""),
+    (None, np.zeros((2, 0), dtype=np.int8), b"\n\n"),
+], ids=["floats", "int8", "rows", "empty", "header-only", "0x0", "2x0"])
+def test_write_table_bytes(tmp_path, header, rows, expected):
+    write_table(tmp_path / "t.csv", header, rows, "\n")
+    assert (tmp_path / "t.csv").read_bytes() == expected
+
+
+def test_write_series_bytes(tmp_path):
+    write_series(TimeSeries([0.1, -2.0, 1e300, 3.0]), tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b"value\r\n0.10000000000000001\r\n-2\r\n1.0000000000000001e+300\r\n3\r\n")
 
 
 def load_and_trace(path, column=0, has_header=False) -> tuple[np.ndarray, bool]:
