@@ -9,7 +9,7 @@ import os
 import numpy as np
 
 from .graph import VisibilityGraph, build_lphvg
-from .metrics import _window_clustering, mean_degree_empirical, mean_path_length
+from .metrics import _forward_pairs, _local_clustering, mean_degree_empirical, mean_path_length
 from .series import Record, RngConfig, as_values, validate_int
 
 DEFAULT_ENSEMBLE = 10
@@ -54,9 +54,9 @@ def _code_distances(codes: list[np.ndarray], space: int) -> np.ndarray:
     A code's bitset column is its rank among all distinct codes. While space
     is at most 4x the code count, a presence array of space bools and one
     cumsum give the ranks: faster than np.unique's sort, in about the same
-    memory (9 bytes a slot, at most 36 a code). Sparser codes go through
-    np.unique. Rows are packed one at a time, so
-    the only (rows x columns) array is the packed words.
+    memory (5 bytes a slot with int32 ranks, at most 20 a code; 9 and 36 from
+    2**31 codes on). Sparser codes go through np.unique. Rows are packed one
+    at a time, so the only (rows x columns) array is the packed words.
     """
     sizes = np.array([c.size for c in codes])
     if space <= 4 * sizes.sum():
@@ -101,6 +101,45 @@ def _window_codes(whole: VisibilityGraph, windows: list[tuple[int, int]]) -> lis
     base = i * size + j
     runs = np.searchsorted(i, windows).tolist()
     return [base[lo:hi][j[lo:hi] < b] - a * (size + 1) for (a, b), (lo, hi) in zip(windows, runs)]
+
+
+def _per_window(parts, n: int, cfg: WindowConfig, count: int) -> np.ndarray:
+    """counts[t, x - t*step]: the cliques through node x inside window t, for the `count`
+    windows [t*step, t*step + L) that make_windows(n, cfg) gives, L = window_len. `parts`
+    yields arrays whose columns are cliques of node indices. One spanning lo to hi lies in
+    windows ceil((hi - L + 1) / step) to floor(lo / step). Node x lies in at most
+    (L-1)//step + 1 windows, window t in slot x//step - t: a difference over slots counts
+    each. A clique in no window gets first = last + 1: its +1 and -1 cancel."""
+    window_len, step = cfg.window_len, cfg.step
+    slots = (window_len - 1) // step + 2  # the last slot only ends ranges
+    node, size = np.arange(n), n * slots
+    base = node * slots + node // step + 1  # slot 0 of node x: window x//step
+    diff = np.zeros(size, dtype=np.int64)
+    for cliques in parts:  # one part at a time, so the scratch stays that small
+        last = np.minimum(cliques.min(0) // step, count - 1)
+        first = np.minimum(np.maximum(-((window_len - 1 - cliques.max(0)) // step), 0), last + 1)
+        row = base[cliques]
+        row -= last + 1  # where each clique's range of slots starts
+        diff += np.bincount(row.ravel(), minlength=size)[:size]
+        row += last + 1 - first  # and where it ends
+        diff -= np.bincount(row.ravel(), minlength=size)[:size]
+    counts = np.cumsum(diff.reshape(n, slots), axis=1)
+    i = np.arange(window_len)  # node t*step + i of window t: slot i//step
+    return counts[np.arange(count)[:, None] * step + i, i // step]
+
+
+def _window_clustering(graph: VisibilityGraph, cfg: WindowConfig, count: int) -> list[float]:
+    """mean_clustering of the subgraph induced on each of the `count` windows of
+    make_windows(graph.n, cfg), from one triangle pass over the whole graph, whose forward
+    edges (w, out) hold every edge once. For an LPHVG, that subgraph is the window's own LPHVG."""
+    n = graph.n
+    w, out, chunks = _forward_pairs(graph)
+    edges = (np.array([w[a : a + n], out[a : a + n]]) for a in range(0, out.size, n))  # n a part
+    linked = ((first[hit], second[hit]) for _, _, first, second, hit in chunks)
+    triangles = (np.array([w[f], out[f], out[s]]) for f, s in linked)
+    k = _per_window(edges, n, cfg, count)
+    tri = _per_window(triangles, n, cfg, count)
+    return [sum(c) / cfg.window_len for c in _local_clustering(k, tri).tolist()]
 
 
 def _reference_windows(series_len: int, cfg: WindowConfig, ensemble: int) -> list[tuple[int, int]]:
@@ -180,8 +219,8 @@ def _in_child(fn, *args):
     failed one, a child that raised or died) run fn(*args) in process, exact as fn is deterministic.
     The block's exit kills and reaps the child. Python 3.12+ warns of a fork with threads (numpy's
     OpenBLAS pool): fn must call no BLAS routine, and the threshold calls none. Its first
-    RngConfig.generator call imports numpy.random, with hashlib, secrets, hmac and base64: 10-15 ms
-    the child pays off the main path, where an i.i.d. evolve never loads numpy.random."""
+    RngConfig.generator call imports numpy.random, with hashlib, secrets, hmac and base64: about
+    15 ms the child pays off the main path, where an i.i.d. evolve never loads numpy.random."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -220,17 +259,12 @@ def evolve(
     with _in_child(threshold_from_random, cfg, values.size, rho, rng, ensemble) as threshold:
         whole = build_lphvg(values, rho)
         # before the cuts, so its scratch and theirs are never held together
-        clustering = _window_clustering(whole, cfg.window_len, cfg.step)
+        clustering = _window_clustering(whole, cfg, len(windows))
         codes = _window_codes(whole, windows)
         graphs = (VisibilityGraph(cfg.window_len, rho, c) for c in codes)
         per_window = tuple(
-            WindowMetrics(
-                start=w[0],
-                stop=w[1],
-                mean_degree=mean_degree_empirical(g),
-                mean_clustering=c,
-                mean_path_length=mean_path_length(g),
-            )
+            WindowMetrics(*w, mean_degree=mean_degree_empirical(g), mean_clustering=c,
+                          mean_path_length=mean_path_length(g))
             for w, g, c in zip(windows, graphs, clustering)
         )
         dist = _code_distances(codes, cfg.window_len ** 2)

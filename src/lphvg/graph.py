@@ -108,6 +108,14 @@ def _partners(ranks: np.ndarray, count: int) -> np.ndarray:
     return partners
 
 
+def _builder_input(series, rho) -> tuple[np.ndarray, int]:
+    """Both builders' input rule: the series' values, rho an integer >= 0, then n >= 2."""
+    x, rho = as_values(series), validate_int("rho", rho)
+    if x.size < 2:
+        raise ValueError(f"series must have at least 2 points, got {x.size}")
+    return x, rho
+
+
 def build_lphvg(series, rho: int) -> VisibilityGraph:
     """Build the LPHVG of a series with penetrability rho.
 
@@ -119,11 +127,8 @@ def build_lphvg(series, rho: int) -> VisibilityGraph:
     has at most 2(rho+1)n edges. The search runs on int32 value ranks (ties
     share a rank) and costs O(min(rho+1, n) n log n) for any input shape.
     """
-    x = as_values(series)
-    rho = validate_int("rho", rho)
+    x, rho = _builder_input(series, rho)
     n = x.size
-    if n < 2:
-        raise ValueError(f"series must have at least 2 points, got {n}")
     ranks = np.unique(x, return_inverse=True)[1].astype(np.int32)
     rounds = min(rho + 1, n - 1)  # no node has more than n-1 partners on a side
     right = _partners(ranks, rounds)
@@ -144,11 +149,8 @@ def build_lphvg_naive(series, rho: int) -> VisibilityGraph:
     (i < q < j); no code is shared with the scan builder's decision path.
     Quadratic in memory, intended for cross-checking on small inputs.
     """
-    x = as_values(series)
-    rho = validate_int("rho", rho)
+    x, rho = _builder_input(series, rho)
     n = x.size
-    if n < 2:
-        raise ValueError(f"series must have at least 2 points, got {n}")
     mins = np.minimum.outer(x, x)
     blockers = np.zeros((n, n), dtype=np.int64)
     for q in range(1, n - 1):

@@ -116,46 +116,6 @@ def _triangles(graph: VisibilityGraph) -> np.ndarray:
     return (np.bincount(w, hits[0], n) + np.bincount(out, hits.sum(0), n)).astype(np.int64)
 
 
-def _per_window(parts, n: int, window_len: int, step: int) -> np.ndarray:
-    """counts[t, x - t*step]: the cliques through node x inside window t, for the windows
-    [t*step, t*step + L) of 0..n-1, L = window_len. `parts` yields arrays whose columns are
-    cliques of node indices. One spanning lo to hi lies in windows ceil((hi - L + 1) / step)
-    to floor(lo / step). Node x lies in at most (L-1)//step + 1 windows, window t in slot
-    x//step - t: a difference over slots counts each. A clique in no window gets
-    first = last + 1: its +1 and -1 cancel."""
-    count = (n - window_len) // step + 1
-    slots = (window_len - 1) // step + 2  # the last slot only ends ranges
-    node, size = np.arange(n), n * slots
-    base = node * slots + node // step + 1  # slot 0 of node x: window x//step
-    diff = np.zeros(size, dtype=np.int64)
-    for cliques in parts:  # one part at a time, so the scratch stays that small
-        last = np.minimum(cliques.min(0) // step, count - 1)
-        first = np.minimum(np.maximum(-((window_len - 1 - cliques.max(0)) // step), 0), last + 1)
-        row = base[cliques]
-        row -= last + 1  # where each clique's range of slots starts
-        diff += np.bincount(row.ravel(), minlength=size)[:size]
-        row += last + 1 - first  # and where it ends
-        diff -= np.bincount(row.ravel(), minlength=size)[:size]
-    counts = np.cumsum(diff.reshape(n, slots), axis=1)
-    t = np.arange(count)[:, None]
-    x = t * step + np.arange(window_len)
-    return counts[x, x // step - t]
-
-
-def _window_clustering(graph: VisibilityGraph, window_len: int, step: int) -> list[float]:
-    """mean_clustering of the subgraph induced on each window [t*step, t*step + window_len)
-    that fits in 0..n-1, from one triangle pass over the whole graph, whose forward edges
-    (w, out) hold every edge once. For an LPHVG, that subgraph is the window's own LPHVG."""
-    n = graph.n
-    w, out, chunks = _forward_pairs(graph)
-    edges = (np.array([w[a : a + n], out[a : a + n]]) for a in range(0, out.size, n))  # n a part
-    linked = ((first[hit], second[hit]) for _, _, first, second, hit in chunks)
-    triangles = (np.array([w[f], out[f], out[s]]) for f, s in linked)
-    k = _per_window(edges, n, window_len, step)
-    tri = _per_window(triangles, n, window_len, step)
-    return [sum(c) / window_len for c in _local_clustering(k, tri).tolist()]
-
-
 def _local_clustering(k: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """2 * triangles / (k(k-1)) entrywise, 0 below degree 2."""
     pairs = k * (k - 1)

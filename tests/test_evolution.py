@@ -24,9 +24,8 @@ from lphvg import (
 )
 import lphvg.evolution
 from lphvg.cli import main
-from lphvg.evolution import _code_distances, _rank_dtype, _window_codes
+from lphvg.evolution import _code_distances, _rank_dtype, _window_clustering, _window_codes
 from lphvg.generators import IidSpec
-from lphvg.metrics import _window_clustering
 
 from oracles import graph_distance
 from shapes import monotone_values, plateau_values, rhos, sawtooth_values, series_values
@@ -240,7 +239,7 @@ class TestWindowClustering:
         windows = make_windows(x.size, cfg)
         assert all(np.array_equal(c, f) for c, f in zip(
             _window_codes(whole, windows), codes_by_formula(whole, windows), strict=True))
-        assert _window_clustering(whole, window_len, step) == [
+        assert _window_clustering(whole, cfg, len(windows)) == [
             mean_clustering(g) for g in window_builds(x, rho, cfg)]
 
     @pytest.mark.parametrize("rho", [0, 1, 2, 3])
@@ -250,7 +249,7 @@ class TestWindowClustering:
         for x in (rng.random(263), -np.arange(263.0) + 2 * rng.standard_normal(263)):
             windows = make_windows(x.size, cfg)
             assert cfg.window_len % cfg.step and windows[-1][1] < x.size
-            assert _window_clustering(build_lphvg(x, rho), 60, 25) == [
+            assert _window_clustering(build_lphvg(x, rho), cfg, len(windows)) == [
                 mean_clustering(g) for g in window_builds(x, rho, cfg)]
 
 

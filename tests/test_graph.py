@@ -30,14 +30,14 @@ from shapes import monotone_values, plateau_values, rhos, sawtooth_values, serie
 
 
 def penetrable_visible(values, i: int, j: int, rho: int) -> bool:
-    """Whether (i, j) is an edge, by both oracles; they must agree."""
-    naive = (i, j) in edge_set(build_lphvg_naive(values, rho))
-    assert naive == ((i, j) in lphvg_reference_edges(values, rho))
-    return naive
+    """Whether (i, j) is an edge of the built graph; the reference oracle must agree."""
+    built = (i, j) in edge_set(build_lphvg(values, rho))
+    assert built == ((i, j) in lphvg_reference_edges(values, rho))
+    return built
 
 
 class TestPenetrableVisible:
-    """The link rule on hand-checked pairs, as edge membership in the two oracles."""
+    """The link rule on hand-checked pairs, as edge membership in the builder and the oracle."""
 
     def test_blocked_at_rho0(self):
         # values 1 and 4 with intermediate 2 >= min
@@ -128,15 +128,9 @@ class TestAccessors:
 
 
 class TestOracleEquivalence:
-    def test_three_spec_cases_match_naive(self):
-        for vals, rho in [
-            ([1, 2, 3, 4, 5], 0),
-            ([3, 1, 2, 4], 1),
-            (list(range(12)), 1),
-        ]:
-            assert edge_set(build_lphvg(vals, rho)) == edge_set(
-                build_lphvg_naive(vals, rho)
-            )
+    def test_three_spec_cases_match_reference(self):
+        for vals, rho in [([1, 2, 3, 4, 5], 0), ([3, 1, 2, 4], 1), (list(range(12)), 1)]:
+            assert edge_set(build_lphvg(vals, rho)) == lphvg_reference_edges(vals, rho)
 
     def test_random_sweep_against_naive_and_reference(self):
         rng = np.random.default_rng(2024)
@@ -144,9 +138,9 @@ class TestOracleEquivalence:
             n = int(rng.integers(2, 80))
             rho = int(rng.integers(0, 5))
             x = rng.random(n)
-            fast = edge_set(build_lphvg(x, rho))
-            assert fast == edge_set(build_lphvg_naive(x, rho))
-            assert fast == lphvg_reference_edges(x, rho)
+            reference = lphvg_reference_edges(x, rho)
+            assert edge_set(build_lphvg(x, rho)) == reference
+            assert edge_set(build_lphvg_naive(x, rho)) == reference
 
     def test_with_ties(self):
         rng = np.random.default_rng(7)
@@ -164,11 +158,10 @@ class TestBuilderShapes:
     )
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), rho=rhos)
-    def test_matches_naive_and_reference(self, values, data, rho):
+    def test_matches_reference(self, values, data, rho):
         x = np.asarray(data.draw(values))
         g = build_lphvg(x, rho)
-        assert g == build_lphvg_naive(x, rho)
-        assert edge_set(g) == lphvg_reference_edges(x, rho)
+        assert list(g.edges()) == sorted(lphvg_reference_edges(x, rho))
         assert mean_path_length(g) == path_length_reference(g)
 
     # the partner scan covers offsets 1..4(rho+1); node 3's (rho+1)-th partner sits at the
@@ -196,8 +189,7 @@ class TestBuilderShapes:
         else:
             node, far = 3, 3 + offset
         g = build_lphvg(x, rho)
-        assert g == build_lphvg_naive(x, rho)
-        assert edge_set(g) == lphvg_reference_edges(x, rho)
+        assert list(g.edges()) == sorted(lphvg_reference_edges(x, rho))
         nbrs = g.indices[g.indptr[node] : g.indptr[node + 1]]
         assert (nbrs.min() if side == "left" else nbrs.max()) == far
 
@@ -207,8 +199,7 @@ class TestBuilderShapes:
         for x in (rng.integers(0, 5, 30).astype(float), rng.random(30), np.arange(30.0),
                   np.arange(30.0)[::-1]):
             g = build_lphvg(x, rho)
-            assert g == build_lphvg_naive(x, rho)
-            assert edge_set(g) == lphvg_reference_edges(x, rho)
+            assert list(g.edges()) == sorted(lphvg_reference_edges(x, rho))
             assert g.rho == rho
 
     def test_large_rho_build_is_bounded(self):
