@@ -17,22 +17,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .evolution import DEFAULT_ENSEMBLE, WindowConfig, evolve
-from .generators import (
-    FLOW_DEFAULT_INIT,
-    FLOW_SYSTEMS,
-    IID_FAMILIES,
-    FlowSpec,
-    IidSpec,
-    gen_flow,
-    gen_henon,
-    gen_iid,
-    gen_logistic,
-    gen_periodic,
-)
+from .generators import FLOW_SYSTEMS, IID_FAMILIES, FlowSpec, IidSpec, generate_series
 from .graph import build_lphvg, check_adjacency_export, write_adjacency_csv, write_edge_list
 from .metrics import discriminate, verify_ensemble
 from .series import RngConfig, TimeSeries, load_series, write_series, write_table
@@ -90,46 +77,12 @@ def _write_tables(args, tables: dict) -> None:
 
 
 def _generate_series(args) -> TimeSeries:
-    rng = RngConfig(args.seed, args.stream)
-    if args.family:
-        spec = IidSpec(
-            family=args.family,
-            n=args.n,
-            rng=rng,
-            mean=args.mean,
-            sd=args.sd,
-            alpha=args.alpha,
-            xmin=args.xmin,
-        )
-        return gen_iid(spec)
-    if args.system == "periodic":
-        if args.period is None:
-            raise ValueError("--period is required for --system periodic")
-        return gen_periodic(args.period, args.n, rng)
-    g = rng.generator()
-    if args.system == "logistic":
-        x0 = args.x0 if args.x0 is not None else 0.05 + 0.9 * g.random()
-        return gen_logistic(args.n, x0=x0, mu=args.mu)
-    if args.system == "henon":
-        x0 = args.x0 if args.x0 is not None else -0.1 + 0.2 * g.random()
-        y0 = args.y0 if args.y0 is not None else -0.1 + 0.2 * g.random()
-        return gen_henon(args.n, x0=x0, y0=y0)
-    # flows: seed perturbs the default initial state unless one is given
-    if args.init is not None:
-        init = tuple(float(v) for v in args.init.split(","))
-    else:
-        base = np.array(FLOW_DEFAULT_INIT[args.system])
-        init = tuple(base * (1.0 + 0.02 * (g.random(3) - 0.5)))
-    spec = FlowSpec(
-        system=args.system,
-        n=args.n,
-        init=init,
-        dt=args.dt,
-        transient=args.transient,
-        stride=args.stride,
-        component=args.component,
-    )
-    return gen_flow(spec)
+    return generate_series(  # RngConfig comes first, so a bad seed is refused before --init
+        args.family or args.system, args.n, RngConfig(args.seed, args.stream),
+        init=None if args.init is None else tuple(float(v) for v in args.init.split(",")),
+        mean=args.mean, sd=args.sd, alpha=args.alpha, xmin=args.xmin, period=args.period,
+        x0=args.x0, y0=args.y0, mu=args.mu, dt=args.dt, transient=args.transient,
+        stride=args.stride, component=args.component)
 
 
 def cmd_generate(args) -> int:

@@ -1,6 +1,8 @@
-"""Seeded generators for every test signal: i.i.d. draws, periodic series,
-chaotic maps, and chaotic flows via fixed-step 4th-order integration."""
+"""Seeded generators for every test signal (i.i.d. draws, periodic series, chaotic maps, chaotic
+flows by fixed-step 4th-order integration on floats), and generate_series, which picks one."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -12,6 +14,12 @@ FLOW_SYSTEMS = ("lorenz", "energy")
 
 class DivergenceError(RuntimeError):
     """Raised when an iterated map or flow leaves the finite range."""
+
+
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class IidSpec(Record):
@@ -36,6 +44,7 @@ class IidSpec(Record):
                 raise ValueError(f"alpha must be > 1, got {self.alpha}")
             if not self.xmin > 0:
                 raise ValueError(f"xmin must be > 0, got {self.xmin}")
+        _require_finite(mean=self.mean, sd=self.sd, alpha=self.alpha, xmin=self.xmin)
 
 
 def gen_iid(spec: IidSpec) -> TimeSeries:
@@ -88,6 +97,7 @@ def gen_logistic(n: int, x0: float = 0.3, mu: float = 4.0) -> TimeSeries:
 def gen_henon(n: int, x0: float = 0.0, y0: float = 0.0) -> TimeSeries:
     """Record the x-coordinate of x_{t+1} = 1 + y_t - 1.4 x_t^2, y_{t+1} = 0.3 x_t."""
     validate_int("n", n, 2)
+    _require_finite(x0=x0, y0=y0)
     out = np.empty(n)
     x, y = float(x0), float(y0)
     for t in range(n):
@@ -132,50 +142,84 @@ class FlowSpec(Record):
         init = tuple(float(v) for v in init)
         if len(init) != 3:
             raise ValueError("init must have exactly 3 components")
+        _require_finite(dt=self.dt, init=init)
         if self.system == "lorenz" and init == (0.0, 0.0, 0.0):
             raise ValueError("the all-zero state is a fixed point of this flow")
         object.__setattr__(self, "init", init)
 
 
-def lorenz_deriv(state: np.ndarray, p: dict) -> np.ndarray:
+def lorenz_deriv(state: tuple, p: dict) -> tuple:
     x, y, z = state
-    return np.array(
-        [p["a"] * (y - x), p["c"] * x - y - x * z, x * y - p["b"] * z]
+    return (p["a"] * (y - x), p["c"] * x - y - x * z, x * y - p["b"] * z)
+
+
+def energy_deriv(state: tuple, p: dict) -> tuple:
+    x, y, z = state
+    return (
+        p["a1"] * x + p["a2"] * (p["C"] - y) + p["a3"] * (z - p["K1"]),
+        -p["b1"] * y + p["b2"] * x - p["b3"] * z * (1.0 - z / p["K2"]),
+        p["c1"] * z * (1.0 - z / p["L"]) + p["c2"] * y * z,
     )
 
 
-def energy_deriv(state: np.ndarray, p: dict) -> np.ndarray:
+def rk4_step(deriv, state: tuple, dt: float, params: dict) -> tuple:
+    """One classical RK4 step on three floats; an overflow gives inf or nan, never an error."""
     x, y, z = state
-    return np.array(
-        [
-            p["a1"] * x + p["a2"] * (p["C"] - y) + p["a3"] * (z - p["K1"]),
-            -p["b1"] * y + p["b2"] * x - p["b3"] * z * (1.0 - z / p["K2"]),
-            p["c1"] * z * (1.0 - z / p["L"]) + p["c2"] * y * z,
-        ]
-    )
+    h = 0.5 * dt
+    a1, a2, a3 = deriv(state, params)
+    b1, b2, b3 = deriv((x + h * a1, y + h * a2, z + h * a3), params)
+    c1, c2, c3 = deriv((x + h * b1, y + h * b2, z + h * b3), params)
+    d1, d2, d3 = deriv((x + dt * c1, y + dt * c2, z + dt * c3), params)
+    w = dt / 6.0
+    return (x + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            z + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
 
 
-def rk4_step(deriv, state: np.ndarray, dt: float, params: dict) -> np.ndarray:
-    k1 = deriv(state, params)
-    k2 = deriv(state + 0.5 * dt * k1, params)
-    k3 = deriv(state + 0.5 * dt * k2, params)
-    k4 = deriv(state + dt * k3, params)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a divergence is reported by DivergenceError alone
 def gen_flow(spec: FlowSpec) -> TimeSeries:
     """Integrate the flow, discard the transient, sample every `stride` steps."""
     lorenz = spec.system == "lorenz"
     deriv, params = (lorenz_deriv, LORENZ_PARAMS) if lorenz else (energy_deriv, ENERGY_PARAMS)
-    state = np.array(spec.init, dtype=np.float64)
+    state = spec.init
     out = np.empty(spec.n)
     step = 0
     for t in range(spec.n):  # the transient before the first sample, `stride` steps before the rest
         for _ in range(spec.stride if t else spec.transient):
             state = rk4_step(deriv, state, spec.dt, params)
             step += 1
-            if not np.all(np.isfinite(state)):
+            if not all(map(math.isfinite, state)):
                 raise DivergenceError(f"flow state became non-finite at step {step}")
         out[t] = state[spec.component]
     return TimeSeries(out)
+
+
+def generate_series(source: str, n: int, rng: RngConfig, *, mean: float = IidSpec.mean,
+                    sd: float = IidSpec.sd, alpha: float = IidSpec.alpha,
+                    xmin: float = IidSpec.xmin, period: int | None = None,
+                    x0: float | None = None, y0: float | None = None, mu: float = 4.0,
+                    init: tuple | None = None, dt: float = FlowSpec.dt,
+                    transient: int = FlowSpec.transient, stride: int = FlowSpec.stride,
+                    component: int = FlowSpec.component) -> TimeSeries:
+    """The series `lphvg generate --family/--system source` writes; each keyword is the option
+    of that name, and one the source does not take is ignored. An unset start is drawn from
+    rng.generator() in this order: the logistic x0 from U(0.05, 0.95); the Henon x0, then y0,
+    from U(-0.1, 0.1); a flow's init as FLOW_DEFAULT_INIT times 1 + U(-0.01, 0.01) each."""
+    if source in IID_FAMILIES:
+        return gen_iid(IidSpec(source, n, rng, mean, sd, alpha, xmin))
+    if source == "periodic":
+        if period is None:
+            raise ValueError("--period is required for --system periodic")
+        return gen_periodic(period, n, rng)
+    if source not in ("logistic", "henon") + FLOW_SYSTEMS:
+        raise ValueError(f"unknown family or system {source!r}")
+    g = rng.generator()
+    if source == "logistic":
+        return gen_logistic(n, 0.05 + 0.9 * g.random() if x0 is None else x0, mu)
+    if source == "henon":
+        x0 = -0.1 + 0.2 * g.random() if x0 is None else x0
+        y0 = -0.1 + 0.2 * g.random() if y0 is None else y0
+        return gen_henon(n, x0, y0)
+    if init is None:
+        init = tuple(v * (1.0 + 0.02 * (u - 0.5))
+                     for v, u in zip(FLOW_DEFAULT_INIT[source], g.random(3)))
+    return gen_flow(FlowSpec(source, n, init, dt, transient, stride, component))

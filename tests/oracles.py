@@ -1,5 +1,6 @@
 """Independent reference implementations used as test oracles, the affine
-map the invariance tests apply to series, and a table of faulty builders."""
+map the invariance tests apply to series, the array form of the flow
+integrator, and a table of faulty builders."""
 from __future__ import annotations
 
 import csv
@@ -10,6 +11,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import shortest_path
 
 from lphvg import TimeSeries, VisibilityGraph, build_lphvg, clustering_max, clustering_min
+from lphvg.generators import ENERGY_PARAMS, LORENZ_PARAMS, DivergenceError
 from lphvg.series import as_values
 
 
@@ -139,6 +141,51 @@ def graph_distance(g1: VisibilityGraph, g2: VisibilityGraph) -> float:
     common = np.intersect1d(g1.edge_codes, g2.edge_codes, assume_unique=True).size
     sym_diff = g1.edge_codes.size + g2.edge_codes.size - 2 * common
     return math.sqrt(2.0 * sym_diff)
+
+
+def _lorenz_deriv_array(state: np.ndarray, p: dict) -> np.ndarray:
+    x, y, z = state
+    return np.array([p["a"] * (y - x), p["c"] * x - y - x * z, x * y - p["b"] * z])
+
+
+def _energy_deriv_array(state: np.ndarray, p: dict) -> np.ndarray:
+    x, y, z = state
+    return np.array([
+        p["a1"] * x + p["a2"] * (p["C"] - y) + p["a3"] * (z - p["K1"]),
+        -p["b1"] * y + p["b2"] * x - p["b3"] * z * (1.0 - z / p["K2"]),
+        p["c1"] * z * (1.0 - z / p["L"]) + p["c2"] * y * z,
+    ])
+
+
+def _rk4_step_array(deriv, state: np.ndarray, dt: float, params: dict) -> np.ndarray:
+    k1 = deriv(state, params)
+    k2 = deriv(state + 0.5 * dt * k1, params)
+    k3 = deriv(state + 0.5 * dt * k2, params)
+    k4 = deriv(state + dt * k3, params)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def flow_states_reference(system: str, init, dt: float, steps: int) -> np.ndarray:
+    """The (steps + 1) x 3 states of a flow, row k after k fixed RK4 steps, each stage a new
+    float64 array; a non-finite state raises DivergenceError with gen_flow's message."""
+    lorenz = system == "lorenz"
+    deriv, params = ((_lorenz_deriv_array, LORENZ_PARAMS) if lorenz
+                     else (_energy_deriv_array, ENERGY_PARAMS))
+    states = np.empty((steps + 1, 3))
+    states[0] = init
+    for step in range(1, steps + 1):
+        states[step] = _rk4_step_array(deriv, states[step - 1], dt, params)
+        if not np.all(np.isfinite(states[step])):
+            raise DivergenceError(f"flow state became non-finite at step {step}")
+    return states
+
+
+def flow_reference(spec) -> np.ndarray:
+    """gen_flow's samples of a FlowSpec, read from flow_states_reference."""
+    steps = spec.transient + (spec.n - 1) * spec.stride
+    return flow_states_reference(spec.system, spec.init, spec.dt, steps)[
+        spec.transient::spec.stride, spec.component]
 
 
 def affine_transform(series: TimeSeries, a: float, b: float) -> TimeSeries:

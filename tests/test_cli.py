@@ -77,6 +77,70 @@ class TestGenerate:
         assert lphvg.load_series(out, column="value", has_header=True).values.tobytes() == (
             expected.tobytes())
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--system", "lorenz", "--init", "nan,1,1"], "init must be finite, got (nan, 1.0, 1.0)"),
+        (["--system", "lorenz", "--init", "inf,1,1"], "init must be finite, got (inf, 1.0, 1.0)"),
+        (["--system", "energy", "--dt", "inf"], "dt must be finite, got inf"),
+        (["--system", "energy", "--dt", "0"], "dt must be > 0, got 0.0"),
+        (["--system", "henon", "--x0", "inf"], "x0 must be finite, got inf"),
+        (["--system", "henon", "--x0", "nan"], "x0 must be finite, got nan"),
+        (["--system", "henon", "--y0=-inf"], "y0 must be finite, got -inf"),
+        (["--family", "powerlaw", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["--family", "powerlaw", "--xmin", "inf"], "xmin must be finite, got inf"),
+        (["--family", "gaussian", "--mean", "nan"], "mean must be finite, got nan"),
+        (["--family", "gaussian", "--sd", "inf"], "sd must be finite, got inf"),
+    ], ids=["init-nan", "init-inf", "dt-inf", "dt-zero", "x0-inf", "x0-nan", "y0-inf",
+            "alpha-inf", "xmin-inf", "mean-nan", "sd-inf"])
+    @pytest.mark.parametrize("cmd", [["generate"], ["discriminate", "--rho", "1"]],
+                             ids=["generate", "discriminate"])
+    def test_refused_generator_input_exits_1(self, tmp_path, capsys, cmd, flags, message):
+        out = tmp_path / "x.out"
+        rc = run([*cmd, *flags, "--n", "600", "--transient", "10", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
+
+# CLI flags for each family and system, seeded and with explicit starts, and the same
+# series as generate_series(source, 600, RngConfig(5, 2), **params)
+GENERATED = [
+    (["--family", "uniform"], "uniform", {}),
+    (["--family", "gaussian", "--mean", "2", "--sd", "0.5"], "gaussian", dict(mean=2.0, sd=0.5)),
+    (["--family", "powerlaw", "--alpha", "3", "--xmin", "2"], "powerlaw",
+     dict(alpha=3.0, xmin=2.0)),
+    (["--system", "periodic", "--period", "7"], "periodic", dict(period=7)),
+    (["--system", "logistic"], "logistic", {}),
+    (["--system", "logistic", "--x0", "0.3", "--mu", "3.9"], "logistic", dict(x0=0.3, mu=3.9)),
+    (["--system", "henon"], "henon", {}),
+    (["--system", "henon", "--x0", "0.05"], "henon", dict(x0=0.05)),  # y0 takes the first draw
+    (["--system", "henon", "--x0", "0.05", "--y0", "-0.02"], "henon", dict(x0=0.05, y0=-0.02)),
+    (["--system", "lorenz", "--transient", "500"], "lorenz", dict(transient=500)),
+    (["--system", "lorenz", "--init", "1.5,-2,20", "--transient", "500", "--stride", "2",
+      "--component", "2"], "lorenz",
+     dict(init=(1.5, -2.0, 20.0), transient=500, stride=2, component=2)),
+    (["--system", "energy", "--transient", "500"], "energy", dict(transient=500)),
+    (["--system", "energy", "--init", "10,20,14", "--dt", "0.02", "--transient", "500"], "energy",
+     dict(init=(10.0, 20.0, 14.0), dt=0.02, transient=500)),
+]
+
+
+@pytest.mark.parametrize("flags, source, params", GENERATED,
+                         ids=[" ".join(flags[1:]) for flags, _, _ in GENERATED])
+def test_cli_series_is_generate_series(tmp_path, monkeypatch, flags, source, params):
+    from lphvg import cli
+
+    expected = lphvg.generate_series(source, 600, lphvg.RngConfig(5, 2), **params).values
+    common = ["--n", "600", "--seed", "5", "--stream", "2"]
+    out = tmp_path / "s.csv"
+    assert run(["generate", *flags, *common, "--out", str(out)]) == 0
+    written = lphvg.load_series(out, column="value", has_header=True).values
+    assert written.tobytes() == expected.tobytes()
+    classified = []
+    monkeypatch.setattr(cli, "discriminate", lambda series, rho: (
+        classified.append(series) or lphvg.discriminate(series, rho)))
+    assert run(["discriminate", *flags, *common, "--rho", "1",
+                "--out", str(tmp_path / "v.json")]) == 0
+    assert [s.values.tobytes() for s in classified] == [expected.tobytes()]
+
 
 class TestBuild:
     def test_k4_edge_list(self, tmp_path):

@@ -1,3 +1,5 @@
+import functools
+import math
 import re
 
 import numpy as np
@@ -13,6 +15,7 @@ from lphvg import (
     gen_iid,
     gen_logistic,
     gen_periodic,
+    generate_series,
     mean_degree_empirical,
     mean_degree_periodic,
 )
@@ -21,9 +24,12 @@ from lphvg.generators import (
     energy_deriv,
     lorenz_deriv,
     ENERGY_PARAMS,
+    FLOW_DEFAULT_INIT,
+    FLOW_SYSTEMS,
     LORENZ_PARAMS,
     rk4_step,
 )
+from oracles import flow_reference, flow_states_reference
 
 
 class TestIid:
@@ -54,6 +60,11 @@ class TestIid:
             dict(family="powerlaw", xmin=0.0),
             dict(family="gaussian", sd=0.0),
             dict(family="nope"),
+            dict(family="powerlaw", alpha=math.inf),
+            dict(family="powerlaw", xmin=math.inf),
+            dict(family="gaussian", sd=math.inf),
+            dict(family="gaussian", mean=math.nan),
+            dict(family="uniform", mean=-math.inf),
         ],
     )
     def test_validation(self, kwargs):
@@ -145,6 +156,12 @@ class TestHenon:
         with pytest.raises(DivergenceError, match="step"):
             gen_henon(100, x0=10.0, y0=0.0)
 
+    @pytest.mark.parametrize("start", [dict(x0=math.inf), dict(x0=math.nan), dict(y0=-math.inf)])
+    def test_non_finite_start_refused(self, start):
+        (name, value), = start.items()
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            gen_henon(10, **start)
+
 
 class TestFlows:
     def test_lorenz_zero_state_is_fixed_point(self):
@@ -161,7 +178,12 @@ class TestFlows:
         (dict(stride=0), "stride must be >= 1, got 0"),
         (dict(component=3), "component must be 0, 1 or 2, got 3"),
         (dict(init=(1.0, 2.0)), "init must have exactly 3 components"),
-    ], ids=["system", "n", "dt", "transient", "stride", "component", "init"])
+        (dict(dt=math.inf), "dt must be finite, got inf"),
+        (dict(dt=math.nan), "dt must be > 0, got nan"),
+        (dict(init=(math.nan, 1.0, 1.0)), "init must be finite, got (nan, 1.0, 1.0)"),
+        (dict(init=(1.0, 1.0, -math.inf)), "init must be finite, got (1.0, 1.0, -inf)"),
+    ], ids=["system", "n", "dt", "transient", "stride", "component", "init", "dt-inf", "dt-nan",
+            "init-nan", "init-inf"])
     def test_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FlowSpec(**{"system": "lorenz", "n": 100, **kwargs})
@@ -190,7 +212,7 @@ class TestFlows:
         fine = np.array([1.0, 1.0, 1.0])
         for _ in range(20):
             fine = rk4_step(lorenz_deriv, fine, dt / 2, LORENZ_PARAMS)
-        return float(np.max(np.abs(coarse - fine)))
+        return float(np.max(np.abs(np.asarray(coarse) - np.asarray(fine))))
 
     def test_integrator_fourth_order(self):
         # fixed 10-step windows: horizon shrinks with dt, so the dt-vs-dt/2
@@ -219,3 +241,64 @@ class TestFlows:
         assert d[0] == pytest.approx(p["a1"] * 2 + p["a2"] * (p["C"] - 3) + p["a3"] * (4 - p["K1"]))
         assert d[1] == pytest.approx(-p["b1"] * 3 + p["b2"] * 2 - p["b3"] * 4 * (1 - 4 / p["K2"]))
         assert d[2] == pytest.approx(p["c1"] * 4 * (1 - 4 / p["L"]) + p["c2"] * 3 * 4)
+
+
+@functools.cache
+def _reference_states(system: str, init: tuple) -> np.ndarray:
+    """Enough array-RK4 states for n=500 at stride 3 after the default transient."""
+    return flow_states_reference(system, init, FlowSpec.dt, FlowSpec.transient + 499 * 3)
+
+
+class TestFloatIntegrator:
+    """gen_flow integrates on floats; the array form in oracles gives the same bytes."""
+
+    @pytest.mark.parametrize("system", FLOW_SYSTEMS)
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["default", "perturbed"])
+    @pytest.mark.parametrize("component", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_bytes_match_array_form(self, system, perturbed, component, stride):
+        init = np.array(FLOW_DEFAULT_INIT[system])
+        if perturbed:
+            init = init * (1.0 + 0.02 * (RngConfig(3).generator().random(3) - 0.5))
+        spec = FlowSpec(system, 500, tuple(init), stride=stride, component=component)
+        states = _reference_states(system, spec.init)
+        expected = states[spec.transient::stride][:500, component]
+        assert expected.size == 500
+        assert gen_flow(spec).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(system="lorenz", n=5, dt=1.0, transient=200),
+        dict(system="energy", n=50, dt=2.0, transient=0, stride=3),
+        dict(system="lorenz", n=5, init=(1e300, 1e300, 1e300)),
+    ], ids=["lorenz-dt", "energy-dt", "lorenz-init"])
+    def test_divergence_at_the_same_step(self, kwargs):
+        spec = FlowSpec(**kwargs)
+        with pytest.raises(DivergenceError) as reference:
+            flow_reference(spec)
+        with pytest.raises(DivergenceError, match=f"^{re.escape(str(reference.value))}$"):
+            gen_flow(spec)
+
+
+class TestGenerateSeries:
+    def test_unset_starts_take_the_draws_in_order(self):
+        rng = RngConfig(3, 1)
+        u = rng.generator().random(3)
+        logistic = gen_logistic(50, 0.05 + 0.9 * u[0], 3.9)
+        assert generate_series("logistic", 50, rng, mu=3.9) == logistic
+        henon = gen_henon(50, -0.1 + 0.2 * u[0], -0.1 + 0.2 * u[1])
+        assert generate_series("henon", 50, rng) == henon
+        assert generate_series("henon", 50, rng, x0=0.05) == gen_henon(50, 0.05, -0.1 + 0.2 * u[0])
+        for system in FLOW_SYSTEMS:
+            init = tuple(np.array(FLOW_DEFAULT_INIT[system]) * (1.0 + 0.02 * (u - 0.5)))
+            flow = gen_flow(FlowSpec(system, 50, init, transient=100, stride=2))
+            assert generate_series(system, 50, rng, transient=100, stride=2) == flow
+
+    def test_families_and_periodic_draw_from_rng(self):
+        rng = RngConfig(4)
+        gaussian = gen_iid(IidSpec("gaussian", 50, rng, mean=2.0, sd=0.5))
+        assert generate_series("gaussian", 50, rng, mean=2.0, sd=0.5, x0=9.0) == gaussian
+        assert generate_series("periodic", 50, rng, period=7) == gen_periodic(7, 50, rng)
+        with pytest.raises(ValueError, match="^--period is required for --system periodic$"):
+            generate_series("periodic", 50, rng)
+        with pytest.raises(ValueError, match="^unknown family or system 'nope'$"):
+            generate_series("nope", 50, rng)
